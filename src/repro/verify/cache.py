@@ -53,8 +53,9 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
+from repro.logic import intern as _intern
 from repro.prover import ProverConfig
 from repro.verify.cas import ShardedStore
 
@@ -183,6 +184,29 @@ def _digest_update(h, obj, seen: Dict[int, int]) -> None:
             h.update(f"s:{node!r};".encode())
 
 
+#: Per-process memos of the two content hashes: interned inputs make the
+#: probe an O(1) identity hash, so only a miss walks the DAG.  Intern memos
+#: (bounded, emptied by ``clear_memos()``, bypassed under
+#: ``structural_reference()``); a race between job threads recomputes.
+_DIGEST_MEMO: Dict[tuple, str] = _intern.register_memo({})
+_DIGEST_MEMO_MAX = 8
+_KEY_MEMO: Dict[tuple, str] = _intern.register_memo({})
+_KEY_MEMO_MAX = 1 << 11
+
+
+def _memoized(memo: Dict[tuple, str], limit: int, key: tuple,
+              compute: Callable[[], str]) -> str:
+    if not _intern.MEMO_ENABLED:
+        return compute()
+    out = memo.get(key)
+    if out is None:
+        out = compute()
+        if len(memo) >= limit:
+            memo.clear()
+        memo[key] = out
+    return out
+
+
 def axioms_digest(axioms: Sequence[object], constructors: Sequence[str] = ()) -> str:
     """A stable digest of the background axiom set (plus constructor names).
 
@@ -190,7 +214,15 @@ def axioms_digest(axioms: Sequence[object], constructors: Sequence[str] = ()) ->
     sharing tracked across the whole set — the ~600 background axioms share
     most of their subterms, so the digest reads each distinct node once.
     ``(origin, formula)`` pairs hash the formula only — renaming an axiom's
-    origin tag does not change what is provable."""
+    origin tag does not change what is provable.  Memoized per process."""
+    return _memoized(
+        _DIGEST_MEMO, _DIGEST_MEMO_MAX,
+        (tuple(axioms), tuple(sorted(constructors))),
+        lambda: _axioms_digest(axioms, constructors),
+    )
+
+
+def _axioms_digest(axioms: Sequence[object], constructors: Sequence[str]) -> str:
     h = hashlib.sha256()
     h.update(f"schema:{SCHEMA_VERSION}\n".encode())
     for name in sorted(constructors):
@@ -209,7 +241,16 @@ def obligation_key(obligation, axiom_digest: str) -> str:
 
     The obligation *name* (F1/B2/...) is deliberately excluded — two
     syntactically identical goals share one verdict no matter which pattern
-    generated them."""
+    generated them.  Memoized per process on exactly those inputs."""
+    return _memoized(
+        _KEY_MEMO, _KEY_MEMO_MAX,
+        (obligation.goal, tuple(obligation.seeds), obligation.split_term,
+         axiom_digest),
+        lambda: _obligation_key(obligation, axiom_digest),
+    )
+
+
+def _obligation_key(obligation, axiom_digest: str) -> str:
     from repro.verify import encode as E
 
     h = hashlib.sha256()

@@ -50,17 +50,6 @@ _WORKER_CLEANUP_REGISTERED = False
 #: persistent tiers enforce, so a worker can never replay a verdict the
 #: parent's cache would have rejected.
 _WORKER_L0 = None
-_WORKER_DIGEST: Optional[str] = None
-
-
-def _worker_axiom_digest() -> str:
-    global _WORKER_DIGEST
-    if _WORKER_DIGEST is None:
-        from repro.verify.cache import axioms_digest
-        from repro.verify.encode import CONSTRUCTORS, all_axioms
-
-        _WORKER_DIGEST = axioms_digest(all_axioms(), CONSTRUCTORS)
-    return _WORKER_DIGEST
 
 
 def _config_fp(config: ProverConfig) -> str:
@@ -115,15 +104,16 @@ def _worker_init(config: ProverConfig, spec=None) -> None:
 def _worker_discharge(task: Tuple[int, str, object, ProverConfig, object]):
     """Discharge one obligation in a worker process (L0-cached)."""
     global _WORKER_BACKEND, _WORKER_KEY
-    from repro.verify.cache import obligation_key
+    from repro.verify.cache import axioms_digest, obligation_key
     from repro.verify.checker import ObligationResult
+    from repro.verify.encode import CONSTRUCTORS, all_axioms
 
     index, owner, obligation, config, spec = task
     if _WORKER_BACKEND is None or _WORKER_KEY != (_config_fp(config), spec):
         _worker_init(config, spec)
     config_fp = _config_fp(config)
     backend_id = _WORKER_BACKEND.identity()
-    key = obligation_key(obligation, _worker_axiom_digest())
+    key = obligation_key(obligation, axioms_digest(all_axioms(), CONSTRUCTORS))
     hit = _WORKER_L0.get(key, config_fp, backend_id)
     if hit is not None:
         return index, ObligationResult(

@@ -13,11 +13,13 @@ import time
 import pytest
 
 from repro.cobalt.labels import standard_registry
+from repro.logic.formulas import Forall, Implies, Pred, conj
+from repro.logic.terms import App, LVar
 from repro.prover import ProverConfig
 from repro.api import VerifyOptions
 from repro.verify import SoundnessChecker
 from repro.verify.checker import discharge_obligation
-from repro.verify.obligations import ObligationBuilder
+from repro.verify.obligations import Obligation, ObligationBuilder
 from repro.verify.parallel import build_prover, discharge_parallel
 from repro.opts import (
     branch_fold,
@@ -31,6 +33,7 @@ from repro.opts.buggy import (
     const_prop_wrong_witness,
     copy_prop_no_target_check,
 )
+from tests.test_prover_incremental import _explosive_setup
 
 FAST = ProverConfig(timeout_s=60.0)
 
@@ -92,17 +95,28 @@ class TestParallelMatchesSerial:
 
 class TestTimeouts:
     def test_hard_timeout_yields_unknown_not_hang(self):
-        # deadAssignElim's B3 takes ~10s of search at full budget; with a
-        # 0.3s hard wall-clock cap the caller must get an ``unknown``
-        # verdict back promptly while the worker self-terminates via the
-        # prover's (short) cooperative timeout.
-        obligations = ObligationBuilder(standard_registry()).backward_obligations(
-            dae.pattern
-        )[2:3]
-        config = ProverConfig(timeout_s=3.0)
+        # An obligation whose search cannot finish inside the 0.3s hard
+        # wall-clock cap on any machine: the quadratic multi-pattern of
+        # ``_explosive_setup`` plus a successor axiom that feeds it ~200 new
+        # facts per round, under an instance budget it cannot exhaust.  The
+        # caller must get an ``unknown`` verdict back promptly while the
+        # worker self-terminates via the prover's (short) cooperative
+        # timeout.  (A suite obligation does not do: they all prove in well
+        # under a second now, so a fast run could beat the cap.)
+        axioms, goal = _explosive_setup()
+        x = LVar("x")
+        successor = Forall(
+            ("x",),
+            Implies(Pred("P", (x,)), Pred("P", (App("s", (x,)),))),
+            triggers=((App("P", (x,)),),),
+        )
+        obligations = [
+            Obligation("explosive", Implies(conj((*axioms, successor)), goal))
+        ]
+        config = ProverConfig(timeout_s=1.0, max_instances=10**7)
         start = time.monotonic()
         results = discharge_parallel(
-            "deadAssignElim", obligations, config, jobs=1, hard_timeout_s=0.3
+            "explosive", obligations, config, jobs=1, hard_timeout_s=0.3
         )
         elapsed = time.monotonic() - start
         assert len(results) == 1

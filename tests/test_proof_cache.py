@@ -11,7 +11,11 @@ Covers the cache contract the parallel/cached checker relies on:
 * a corrupted cache file is recovered from, never fatal;
 * the sharded on-disk store (one file per verdict) merges concurrent
   writers instead of clobbering, and the pre-CAS monolithic file is
-  migrated exactly once.
+  migrated exactly once;
+* the per-process memo of keys and the axiom digest returns exactly the
+  unmemoized hashes (pinned as literals, so stores written before the memo
+  stay warm), discriminates every key input, and is safe to share across
+  threads.
 """
 
 import dataclasses
@@ -19,16 +23,21 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from repro.cobalt.dsl import ForwardPattern
 from repro.cobalt.guards import GNot, GLabel
 from repro.cobalt.labels import standard_registry
 from repro.cobalt.patterns import VarPat
 from repro.prover import ProverConfig
 from repro.api import VerifyOptions
+from repro.logic import intern
+from repro.logic.terms import App
 from repro.verify import ProofCache, SoundnessChecker
+from repro.verify import cache as cache_mod
 from repro.verify.cache import (
     CACHE_FILENAME,
     SCHEMA_VERSION,
@@ -38,13 +47,32 @@ from repro.verify.cache import (
 )
 from repro.verify.encode import CONSTRUCTORS, all_axioms
 from repro.verify.obligations import ObligationBuilder
-from repro.opts import const_fold, const_prop
+from repro.opts import ALL_ANALYSES, ALL_OPTIMIZATIONS, const_fold, const_prop
 
 FAST = ProverConfig(timeout_s=60.0)
 
 
 def _obligations(pattern):
     return ObligationBuilder(standard_registry()).forward_obligations(pattern)
+
+
+def _suite_obligations():
+    """Every obligation of the shipped suite, by (item, obligation) name."""
+    builder = ObligationBuilder(
+        standard_registry(), {a.label_name: a for a in ALL_ANALYSES}
+    )
+    out = {}
+    for analysis in ALL_ANALYSES:
+        for ob in builder.analysis_obligations(analysis):
+            out[analysis.name, ob.name] = ob
+    for opt in ALL_OPTIMIZATIONS:
+        if isinstance(opt.pattern, ForwardPattern):
+            obs = builder.forward_obligations(opt.pattern)
+        else:
+            obs = builder.backward_obligations(opt.pattern)
+        for ob in obs:
+            out[opt.name, ob.name] = ob
+    return out
 
 
 @pytest.fixture()
@@ -426,3 +454,94 @@ class TestStatsSplit:
         assert cache.get("k", "big") is None
         assert (cache.stats.misses, cache.stats.stale) == (0, 1)
         assert "1 stale" in str(cache.stats)
+
+
+class TestKeyMemo:
+    """Keys and the axiom digest are memoized per process; the memo must
+    be invisible in the hash stream."""
+
+    #: Captured before the memo existed: stores written then stay warm.
+    DIGEST = "c46d99fd01e1795c6a83259a389d299f2b838486481ea187296427aa54b0d986"
+    KEYS = {
+        # forward, no kind split
+        ("constProp", "F3"):
+            "5a65da8e43af4e86003c673441c30a477f4e6913d68a1bb09e864e649ce8d53a",
+        # backward, split over the statement kind
+        ("deadAssignElim", "B2"):
+            "cbd992530e1088339ff3a96b6870a935ee2a5499bc757ae26c06d29930a34034",
+        # pure analysis
+        ("taintedness", "F1"):
+            "3a691e6d6c0bc6bb491f3023b632f55807054859fa718b4fbf320811408c95f7",
+    }
+
+    def test_pinned_digest_and_keys(self):
+        obs = _suite_obligations()
+        for _ in range(2):  # the second round answers from the memo
+            assert axioms_digest(all_axioms(), CONSTRUCTORS) == self.DIGEST
+            for name, key in self.KEYS.items():
+                assert obligation_key(obs[name], self.DIGEST) == key, name
+
+    def test_memoized_keys_equal_structural_reference(self, digest):
+        obs = list(_suite_obligations().values())
+        memoized = [obligation_key(ob, digest) for ob in obs]
+        assert memoized == [obligation_key(ob, digest) for ob in obs]
+        with intern.structural_reference():
+            assert axioms_digest(all_axioms(), CONSTRUCTORS) == digest
+            assert [obligation_key(ob, digest) for ob in obs] == memoized
+
+    def test_structural_reference_bypasses_memo(self, digest):
+        ob = _obligations(const_fold.pattern)[0]
+        with intern.structural_reference():
+            obligation_key(ob, digest)
+            axioms_digest(all_axioms(), CONSTRUCTORS)
+            assert not cache_mod._KEY_MEMO
+            assert not cache_mod._DIGEST_MEMO
+        obligation_key(ob, digest)
+        assert cache_mod._KEY_MEMO
+
+    def test_seeds_and_split_term_discriminate(self, digest):
+        ob = _suite_obligations()["deadAssignElim", "B2"]
+        assert ob.seeds and ob.split_term is not None
+        variants = [
+            ob,
+            dataclasses.replace(ob, seeds=ob.seeds[:-1]),
+            dataclasses.replace(ob, seeds=ob.seeds[::-1]),
+            dataclasses.replace(ob, split_term=None),
+            dataclasses.replace(ob, split_term=App("otherStmt")),
+        ]
+        keys = [obligation_key(v, digest) for v in variants]
+        assert len(set(keys)) == len(keys)
+        assert obligation_key(ob, "other-digest") not in keys
+
+    def test_concurrent_keys_agree_with_serial(self, digest):
+        obs = list(_suite_obligations().values())
+        serial = [obligation_key(ob, digest) for ob in obs]
+        done = threading.Event()
+        results, errors = [], []
+
+        def compute():
+            try:
+                for _ in range(5):
+                    results.append(
+                        (axioms_digest(all_axioms(), CONSTRUCTORS),
+                         [obligation_key(ob, digest) for ob in obs])
+                    )
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        def clear():
+            while not done.is_set():
+                intern.clear_memos()
+
+        clearer = threading.Thread(target=clear)
+        workers = [threading.Thread(target=compute) for _ in range(8)]
+        clearer.start()
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+        done.set()
+        clearer.join()
+        assert not errors
+        assert len(results) == 8 * 5
+        assert all(r == (digest, serial) for r in results)
