@@ -13,10 +13,11 @@ suite against a real daemon on a loopback socket:
   the wire in one batched suite-level multi-GET.
 """
 
-import threading
 import time
 
 from repro.api import ProverOptions, VerifyOptions, verify_suite
+
+from tests.servers import BackgroundServer
 
 CONFIG = ProverOptions(timeout_s=120)
 
@@ -28,18 +29,14 @@ def _run(**kwargs):
 
 
 def test_tiered_cache(benchmark, tmp_path_factory):
-    from repro.verify.netcache import CacheServer
+    from repro.service.server import CacheServer
 
     cache_dir = tmp_path_factory.mktemp("proof-cache")
-    server = CacheServer(tmp_path_factory.mktemp("daemon-store"), port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
+    server = CacheServer(tmp_path_factory.mktemp("daemon-store"))
+    with BackgroundServer(server):
         cold, cold_s = _run(cache_dir=str(cache_dir), cache_url=server.url)
         warm_l1, warm_l1_s = _run(cache_dir=str(cache_dir))
         warm_l2, warm_l2_s = _run(cache_url=server.url)
-    finally:
-        server.shutdown()
-        server.server_close()
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert not cold.failures()

@@ -31,6 +31,10 @@ Usage (also via ``python -m repro``)::
 * ``serve`` runs the verification daemon (docs/SERVICE.md): an asyncio
   HTTP/JSON service over the same façade, batching proof obligations
   across concurrent requests into one shared worker pool.
+* ``cache serve`` serves a cache directory as the network tier (L2) on
+  the same asyncio HTTP code; SIGTERM/SIGINT stop it with exit 0.
+  ``cache stats`` counts objects in a directory or daemon, ``cache gc``
+  drops verdicts that will not usefully replay (docs/CACHING.md).
 
 The global ``--jobs N`` flag fans proof obligations out across N worker
 processes; ``--cache-dir DIR`` persists verdicts in a sharded
@@ -402,10 +406,11 @@ def cmd_serve(args) -> int:
 
 
 def cmd_cache_serve(args) -> int:
-    from repro.verify.netcache import serve
+    from repro.service.server import CacheServer, run_until_signalled
 
-    return serve(args.dir, host=args.host, port=args.port,
-                 verbose=not args.quiet)
+    return run_until_signalled(
+        CacheServer(args.dir, host=args.host, port=args.port)
+    )
 
 
 def cmd_cache_stats(args) -> int:
@@ -680,8 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (default: 127.0.0.1)")
     q.add_argument("--port", type=int, default=8417,
                    help="bind port (default: 8417)")
-    q.add_argument("--quiet", action="store_true",
-                   help="suppress per-request log lines")
     q.set_defaults(fn=cmd_cache_serve)
 
     q = cache_sub.add_parser("stats",

@@ -16,7 +16,8 @@ answers that are byte-identical to a local ``verify_suite`` run.
   shared process pool;
 * :mod:`repro.service.ratelimit` — per-client token buckets behind the
   daemon's 429s;
-* :mod:`repro.service.server` — the stdlib-only asyncio HTTP front end.
+* :mod:`repro.service.server` — the stdlib-only asyncio HTTP front end,
+  shared with the proof-cache daemon (``repro cache serve``).
 """
 
 from repro.service.jobs import (

@@ -1,7 +1,9 @@
-"""The daemon's HTTP face: a small hand-rolled asyncio HTTP/1.1 server.
+"""The daemons' HTTP face: one small hand-rolled asyncio HTTP/1.1 server.
 
-The stdlib has no asyncio HTTP server, so this module speaks just enough
-HTTP/1.1 over :func:`asyncio.start_server` for the service's five routes:
+The stdlib has no asyncio HTTP server, so :class:`HTTPServer` speaks just
+enough HTTP/1.1 over :func:`asyncio.start_server` — request framing, size
+limits, error replies and the signal-wired lifecycle — for the two
+daemons built on it.  :class:`ServiceServer` (``repro serve``) routes:
 
 ========================== =================================================
 ``GET /v1/healthz``        liveness probe
@@ -12,12 +14,17 @@ HTTP/1.1 over :func:`asyncio.start_server` for the service's five routes:
 ``GET /v1/jobs/<id>/events`` chunked ndjson stream of the job's events
 ========================== =================================================
 
+:class:`CacheServer` (``repro cache serve``) is the proof cache's network
+tier (L2, docs/CACHING.md): ``POST /v<schema>/multi-get``,
+``POST /v<schema>/multi-put`` and ``GET /v<schema>/stats`` over a
+:class:`~repro.verify.cas.ShardedStore`.
+
 Design rules:
 
 * The event loop only ever parses HTTP and shuffles bytes.  Everything
   that can block — request validation, job execution, waiting on job
-  events — happens on worker threads (the service's job pool, or
-  ``asyncio.to_thread`` bridges into :meth:`Job.wait_events`).
+  events, cache-store file I/O — happens on worker threads (the service's
+  job pool, or ``asyncio.to_thread`` bridges).
 * Malformed input is a *response*, never an exception escaping the
   handler: oversized request lines and bodies get 413, unparsable JSON
   and wire-schema violations get 400, and the connection is closed
@@ -25,27 +32,35 @@ Design rules:
 * A client that disconnects mid-stream just cancels its own streaming
   coroutine; the underlying job keeps running for pollers.
 * One request per connection (``Connection: close``): the daemon's jobs
-  run for seconds-to-minutes, so connection reuse buys nothing and
-  keep-alive bookkeeping is where hand-rolled servers grow bugs.
+  run for seconds-to-minutes and a cache client sends one batch per
+  suite, so connection reuse buys nothing and keep-alive bookkeeping is
+  where hand-rolled servers grow bugs.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api import VerifyOptions
 from repro.service.jobs import Job, ServiceOverloadedError, VerificationService
 from repro.service.ratelimit import RateLimiter
 from repro.service.wire import WIRE_VERSION, WireError, dumps, envelope
+from repro.verify.cache import SCHEMA_VERSION
+from repro.verify.cas import ShardedStore
 
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024
 DEFAULT_MAX_BODY = 8 * 1024 * 1024
+
+#: Request caps of the cache daemon (it is not a general web server).
+CACHE_MAX_BODY = 64 * 1024 * 1024
+MAX_BATCH_KEYS = 100_000
 
 #: A peer address's aggregate submission budget is this multiple of the
 #: per-client budget: ``X-Repro-Client`` sub-keys within one address (so
@@ -97,46 +112,24 @@ def _error(status: int, message: str, **headers: str) -> bytes:
     )
 
 
-class ServiceServer:
-    """One daemon: a :class:`VerificationService` behind asyncio HTTP."""
+class HTTPServer:
+    """HTTP/1.1 framing and lifecycle; subclasses implement :meth:`_route`."""
 
-    def __init__(
-        self,
-        options: Optional[VerifyOptions] = None,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_concurrent_jobs: int = 8,
-        batch_window_s: float = 0.05,
-        rate: float = 10.0,
-        burst: float = 20.0,
-        max_body_bytes: int = DEFAULT_MAX_BODY,
-        max_waiters: int = DEFAULT_MAX_WAITERS,
-        service: Optional[VerificationService] = None,
-        limiter: Optional[RateLimiter] = None,
-    ) -> None:
+    def __init__(self, *, host: str, port: int, max_body_bytes: int) -> None:
         self.host = host
         self.port = port
         self.max_body_bytes = max_body_bytes
-        self.service = service or VerificationService(
-            options,
-            max_concurrent_jobs=max_concurrent_jobs,
-            batch_window_s=batch_window_s,
-        )
-        self.limiter = limiter if limiter is not None else RateLimiter(rate, burst)
-        # The per-address aggregate behind the per-client buckets: a client
-        # rotating X-Repro-Client values still drains this one.
-        self._addr_limiter = RateLimiter(
-            rate * ADDR_BUDGET_FACTOR, burst * ADDR_BUDGET_FACTOR
-        )
-        self._max_waiters = max(1, int(max_waiters))
-        self._waiters = 0  # touched only on the event loop
-        self._wait_pool = ThreadPoolExecutor(
-            max_workers=self._max_waiters, thread_name_prefix="repro-wait"
-        )
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopping: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def banner(self) -> str:
+        """The one line printed once the socket is bound."""
+        raise NotImplementedError
 
     # -- lifecycle -------------------------------------------------------
 
@@ -153,10 +146,6 @@ class ServiceServer:
         assert self._server is not None and self._stopping is not None
         async with self._server:
             await self._stopping.wait()
-        # Drain jobs and release the pool off-loop (shutdown blocks).
-        await asyncio.to_thread(self.service.shutdown)
-        # All jobs are finished now, so parked waiters have returned.
-        self._wait_pool.shutdown(wait=False)
 
     def request_stop(self) -> None:
         """Shutdown trigger, safe from signal handlers and foreign threads.
@@ -178,9 +167,6 @@ class ServiceServer:
                 self._loop.call_soon_threadsafe(self._stopping.set)
             except RuntimeError:
                 pass  # loop already closed: nothing left to stop
-
-    async def stop(self) -> None:
-        self.request_stop()
 
     # -- HTTP plumbing ---------------------------------------------------
 
@@ -282,6 +268,58 @@ class ServiceServer:
             return await reader.readexactly(length), None
         except asyncio.IncompleteReadError:
             return b"", _error(400, "truncated body")
+
+    async def _route(
+        self, method, path, query, headers, body, writer
+    ) -> None:
+        raise NotImplementedError
+
+
+class ServiceServer(HTTPServer):
+    """One daemon: a :class:`VerificationService` behind asyncio HTTP."""
+
+    def __init__(
+        self,
+        options: Optional[VerifyOptions] = None,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_concurrent_jobs: int = 8,
+        batch_window_s: float = 0.05,
+        rate: float = 10.0,
+        burst: float = 20.0,
+        max_body_bytes: int = DEFAULT_MAX_BODY,
+        max_waiters: int = DEFAULT_MAX_WAITERS,
+        service: Optional[VerificationService] = None,
+        limiter: Optional[RateLimiter] = None,
+    ) -> None:
+        super().__init__(host=host, port=port, max_body_bytes=max_body_bytes)
+        self.service = service or VerificationService(
+            options,
+            max_concurrent_jobs=max_concurrent_jobs,
+            batch_window_s=batch_window_s,
+        )
+        self.limiter = limiter if limiter is not None else RateLimiter(rate, burst)
+        # The per-address aggregate behind the per-client buckets: a client
+        # rotating X-Repro-Client values still drains this one.
+        self._addr_limiter = RateLimiter(
+            rate * ADDR_BUDGET_FACTOR, burst * ADDR_BUDGET_FACTOR
+        )
+        self._max_waiters = max(1, int(max_waiters))
+        self._waiters = 0  # touched only on the event loop
+        self._wait_pool = ThreadPoolExecutor(
+            max_workers=self._max_waiters, thread_name_prefix="repro-wait"
+        )
+
+    def banner(self) -> str:
+        return f"repro serve: listening on {self.url} (schema v{WIRE_VERSION})"
+
+    async def serve_forever(self) -> None:
+        await super().serve_forever()
+        # Drain jobs and release the pool off-loop (shutdown blocks).
+        await asyncio.to_thread(self.service.shutdown)
+        # All jobs are finished now, so parked waiters have returned.
+        self._wait_pool.shutdown(wait=False)
 
     # -- routing ---------------------------------------------------------
 
@@ -453,7 +491,68 @@ class ServiceServer:
         await writer.drain()
 
 
-async def _serve(server: ServiceServer, ready=None) -> None:
+
+class CacheServer(HTTPServer):
+    """``repro cache serve``: a :class:`ShardedStore` behind the L2 batch
+    protocol.  The cache schema version is part of every path, so a
+    daemon serving another schema answers 404 — an honest miss."""
+
+    def __init__(self, directory: Union[str, os.PathLike], *,
+                 host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__(host=host, port=port, max_body_bytes=CACHE_MAX_BODY)
+        self.store = ShardedStore(directory, SCHEMA_VERSION)
+        self.schema = SCHEMA_VERSION
+
+    def banner(self) -> str:
+        return (f"[cache-serve] listening on {self.url} "
+                f"(store: {self.store.root}, schema v{self.schema})")
+
+    async def _route(
+        self, method, path, query, headers, body, writer
+    ) -> None:
+        prefix = f"/v{self.schema}/"
+        route = path[len(prefix):] if path.startswith(prefix) else None
+        if method == "GET" and route == "stats":
+            count = await asyncio.to_thread(self.store.count)
+            reply = _response(200, {"schema": self.schema, "objects": count})
+        elif method == "POST" and route == "multi-get":
+            reply = await self._batch(body, "keys", list, self._multi_get)
+        elif method == "POST" and route == "multi-put":
+            reply = await self._batch(body, "entries", dict, self._multi_put)
+        else:
+            reply = _error(404, f"no such route: {method} {path}")
+        writer.write(reply)
+        await writer.drain()
+
+    async def _batch(self, body: bytes, field: str, kind: type, work) -> bytes:
+        try:
+            data = json.loads(body)
+        except ValueError as exc:
+            return _error(400, f"malformed JSON body: {exc}")
+        batch = data.get(field) if isinstance(data, dict) else None
+        if not isinstance(batch, kind) or len(batch) > MAX_BATCH_KEYS:
+            return _error(400, f"{field!r} must be a {kind.__name__} of at "
+                               f"most {MAX_BATCH_KEYS} items")
+        return _response(200, await asyncio.to_thread(work, batch))
+
+    def _multi_get(self, keys: list) -> dict:
+        # The store answers None for unsafe keys: no path tricks.
+        entries = {}
+        for key in keys:
+            entry = self.store.get(key)
+            if entry is not None:
+                entries[key] = entry
+        return {"schema": self.schema, "entries": entries}
+
+    def _multi_put(self, entries: dict) -> dict:
+        stored = sum(
+            1 for key, entry in entries.items()
+            if isinstance(entry, dict) and self.store.put(key, entry)
+        )
+        return {"schema": self.schema, "stored": stored}
+
+
+async def _serve(server: HTTPServer, ready=None) -> None:
     await server.start()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -463,12 +562,20 @@ async def _serve(server: ServiceServer, ready=None) -> None:
             pass  # non-main thread or platform without signal support
     if ready is not None:
         ready(server)
-    print(
-        f"repro serve: listening on http://{server.host}:{server.port} "
-        f"(schema v{WIRE_VERSION})",
-        flush=True,
-    )
+    print(server.banner(), flush=True)
     await server.serve_forever()
+
+
+def run_until_signalled(server: HTTPServer, ready=None) -> int:
+    """Run ``server`` until SIGTERM/SIGINT; returns the exit code.
+
+    ``ready`` (tests, smoke scripts) is called with the started server
+    once the socket is bound."""
+    try:
+        asyncio.run(_serve(server, ready))
+    except KeyboardInterrupt:
+        pass
+    return 0
 
 
 def run_server(
@@ -482,10 +589,7 @@ def run_server(
     burst: float = 20.0,
     ready=None,
 ) -> int:
-    """Run the daemon until SIGTERM/SIGINT; returns the exit code.
-
-    ``ready`` (tests, smoke scripts) is called with the started
-    :class:`ServiceServer` once the socket is bound."""
+    """Run the verification daemon until SIGTERM/SIGINT."""
     server = ServiceServer(
         options,
         host=host,
@@ -495,8 +599,4 @@ def run_server(
         rate=rate,
         burst=burst,
     )
-    try:
-        asyncio.run(_serve(server, ready))
-    except KeyboardInterrupt:
-        pass
-    return 0
+    return run_until_signalled(server, ready)

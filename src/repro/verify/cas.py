@@ -6,18 +6,18 @@ key and sharded by digest prefix::
 
     <root>/objects/<key[:2]>/<key>.json
 
-Each object is written atomically (temp file + rename), so concurrent
-writers — two verification runs sharing a ``--cache-dir``, or the cache
-daemon taking PUTs while a local run saves — compose with plain
-last-writer-wins semantics per verdict instead of the whole-file clobbering
-the old monolithic ``proof-cache.json`` suffered from.  Since two writers
-of the same key hold the *same* content-addressed verdict (modulo timing
-metadata), last-writer-wins is lossless.
+This is the only on-disk format.  Each object is written atomically (temp
+file + rename), so concurrent writers — two verification runs sharing a
+``--cache-dir``, or the cache daemon taking multi-PUTs while a local run
+saves — compose with plain last-writer-wins semantics per verdict.  Since
+two writers of the same key hold the *same* content-addressed verdict
+(modulo timing metadata), last-writer-wins is lossless.
 
 Every object file embeds the cache schema version; objects written by a
 different schema are unreadable and treated as absent, never misparsed.
-The store is an accelerator: any I/O failure degrades to a miss (reads) or
-a one-line stderr warning (writes), never an exception.
+The store is an accelerator: any I/O failure — including a root that is a
+plain file — degrades to a miss (reads) or a one-line stderr warning
+(writes), never an exception.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Union
 OBJECTS_DIRNAME = "objects"
 
 #: Keys are sha256 hex digests in production; tests use short tokens.  The
-#: pattern exists for path safety (the daemon feeds request paths here).
+#: pattern exists for path safety (the daemon feeds request keys here).
 _SAFE_KEY = re.compile(r"^[0-9a-zA-Z_-]{1,128}$")
 
 
@@ -72,9 +72,6 @@ class ShardedStore:
             return None
         entry = data.get("entry")
         return entry if isinstance(entry, dict) else None
-
-    def has(self, key: str) -> bool:
-        return safe_key(key) and self.object_path(key).is_file()
 
     def keys(self) -> Iterator[str]:
         """Every object key on disk (unvalidated: corrupt files included)."""
@@ -138,13 +135,6 @@ class ShardedStore:
             return True
         except OSError:
             return False
-
-    def clear(self) -> int:
-        removed = 0
-        for key in list(self.keys()):
-            if self.delete(key):
-                removed += 1
-        return removed
 
     def _warn_once(self, exc: OSError) -> None:
         if not self._write_failed:

@@ -2,9 +2,10 @@
 
 Two layers of contract:
 
-* wire level — the daemon serves/accepts verdict objects over the batched
-  JSON protocol, connections are kept alive (one TCP connection for many
-  round trips), multiple upstreams shard by digest prefix;
+* wire level — the daemon (``repro cache serve``, the asyncio server it
+  shares with ``repro serve``) serves/accepts verdict objects over the
+  batched JSON protocol, answers malformed or oversized requests with
+  4xx, and multiple upstreams shard by digest prefix;
 * failure level — the client is *strictly fail-open*: a refused port, a
   wedged socket, a corrupt response, or a daemon dying mid-suite all
   degrade to cache misses, never exceptions, and the final verification
@@ -14,18 +15,28 @@ The end-to-end tests drive real ``verify_suite`` runs through a real
 daemon on a loopback socket and compare canonical reports.
 """
 
+import http.client
+import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from repro.api import ProverOptions, VerifyOptions, verify_suite
 from repro.opts import const_fold, const_prop
+from repro.service.server import CACHE_MAX_BODY, MAX_BATCH_KEYS, CacheServer
 from repro.verify.cache import SCHEMA_VERSION, ProofCache
-from repro.verify.netcache import CacheClient, CacheServer
+from repro.verify.netcache import CacheClient
 from repro.verify.cas import ShardedStore
+
+from tests.servers import BackgroundServer
 
 FAST = ProverOptions(timeout_s=60.0)
 MINI_SUITE = dict(analyses=[], optimizations=[const_prop, const_fold])
@@ -37,29 +48,27 @@ def _entry(proved=True, config="", backend="internal"):
 
 
 def _start(tmp_path, name="store"):
-    server = CacheServer(tmp_path / name, port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
+    return BackgroundServer(CacheServer(tmp_path / name))
 
 
 @pytest.fixture()
 def daemon(tmp_path):
-    server = _start(tmp_path)
-    yield server
-    server.shutdown()
-    server.server_close()
+    with _start(tmp_path) as running:
+        yield running.server
+
+
+def _raw(server, method, path, body=b""):
+    """One raw request: ``(status, parsed JSON body)``."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.request(method, path, body=body or None)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 class TestWireProtocol:
-    def test_single_object_round_trip(self, daemon):
-        client = CacheClient(daemon.url)
-        assert client.get("aabbcc") is None
-        assert client.put("aabbcc", _entry())
-        got = client.get("aabbcc")
-        assert got is not None and got["proved"] is True
-        # The object landed in the daemon's sharded store.
-        assert daemon.store.has("aabbcc")
-
     def test_batched_round_trip(self, daemon):
         client = CacheClient(daemon.url)
         entries = {f"aa{i:04x}": _entry() for i in range(8)}
@@ -68,31 +77,28 @@ class TestWireProtocol:
         assert set(found) == set(entries)
         assert client.stats.published == 8
 
-    def test_connections_are_reused(self, daemon):
+    def test_consecutive_batches_on_one_client(self, daemon):
+        # The daemon answers one request per connection; the client's
+        # connection object must reopen by itself, never mark it dead.
         client = CacheClient(daemon.url)
+        assert client.publish({"aa1111": _entry()})
         for _ in range(5):
-            client.multi_get(["aa1111", "bb2222"])
-        client.put("cc3333", _entry())
+            assert set(client.multi_get(["aa1111", "bb2222"])) == {"aa1111"}
         assert client.stats.requests == 6
-        # Keep-alive: every round trip rode one TCP connection.
-        assert daemon.connections == 1
+        assert client.stats.errors == 0
+        assert client.alive
 
     def test_two_upstreams_shard_by_digest_prefix(self, tmp_path):
-        even = _start(tmp_path, "even")
-        odd = _start(tmp_path, "odd")
-        try:
+        with _start(tmp_path, "even") as even, _start(tmp_path, "odd") as odd:
             client = CacheClient(f"{even.url},{odd.url}")
             # 0x00 % 2 == 0, 0xff % 2 == 1: one key per shard.
             assert client.publish({"00aaaa": _entry(), "ffbbbb": _entry()})
-            assert even.store.has("00aaaa") and not even.store.has("ffbbbb")
-            assert odd.store.has("ffbbbb") and not odd.store.has("00aaaa")
+            even_store, odd_store = even.server.store, odd.server.store
+            assert even_store.get("00aaaa") and not even_store.get("ffbbbb")
+            assert odd_store.get("ffbbbb") and not odd_store.get("00aaaa")
             # Reads fan out to the right shard and merge.
             assert set(client.multi_get(["00aaaa", "ffbbbb"])) == {
                 "00aaaa", "ffbbbb"}
-        finally:
-            for server in (even, odd):
-                server.shutdown()
-                server.server_close()
 
     def test_schema_mismatch_is_a_miss_not_poison(self, daemon):
         daemon.store.put("aa1234", _entry())
@@ -103,9 +109,84 @@ class TestWireProtocol:
         assert client.alive
 
     def test_unsafe_keys_rejected_by_daemon(self, daemon):
-        client = CacheClient(daemon.url)
-        assert not client.put("../escape", _entry())
+        body = json.dumps({"entries": {"../escape": _entry(),
+                                       "aa0001": _entry()}}).encode()
+        status, payload = _raw(daemon, "POST",
+                               f"/v{SCHEMA_VERSION}/multi-put", body)
+        assert (status, payload["stored"]) == (200, 1)
         assert not (daemon.store.root / ".." / "escape.json").exists()
+        assert not list(daemon.store.root.rglob("escape.json"))
+        assert daemon.store.get("aa0001") is not None
+        # Unsafe keys read as absent too.
+        body = json.dumps({"keys": ["../escape", "aa0001"]}).encode()
+        status, payload = _raw(daemon, "POST",
+                               f"/v{SCHEMA_VERSION}/multi-get", body)
+        assert status == 200 and set(payload["entries"]) == {"aa0001"}
+
+    def test_stats_counts_objects(self, daemon):
+        daemon.store.put("aa1234", _entry())
+        status, payload = _raw(daemon, "GET", f"/v{SCHEMA_VERSION}/stats")
+        assert status == 200
+        assert payload == {"schema": SCHEMA_VERSION, "objects": 1}
+
+
+class TestBadRequests:
+    """Malformed input is a 4xx response, and the daemon keeps serving."""
+
+    def _still_serving(self, daemon):
+        assert _raw(daemon, "GET", f"/v{SCHEMA_VERSION}/stats")[0] == 200
+
+    def test_malformed_json_is_400(self, daemon):
+        status, payload = _raw(daemon, "POST",
+                               f"/v{SCHEMA_VERSION}/multi-get", b"{nope")
+        assert status == 400
+        assert "malformed JSON" in payload["error"]
+        self._still_serving(daemon)
+
+    def test_wrong_batch_shape_is_400(self, daemon):
+        body = json.dumps({"keys": {"not": "a list"}}).encode()
+        assert _raw(daemon, "POST", f"/v{SCHEMA_VERSION}/multi-get",
+                    body)[0] == 400
+        body = json.dumps({"entries": ["not", "a", "dict"]}).encode()
+        assert _raw(daemon, "POST", f"/v{SCHEMA_VERSION}/multi-put",
+                    body)[0] == 400
+        self._still_serving(daemon)
+
+    def test_too_many_keys_is_400(self, daemon):
+        keys = [f"k{i}" for i in range(MAX_BATCH_KEYS + 1)]
+        body = json.dumps({"keys": keys}).encode()
+        status, _ = _raw(daemon, "POST", f"/v{SCHEMA_VERSION}/multi-get", body)
+        assert status == 400
+        self._still_serving(daemon)
+
+    def test_body_over_64_mib_is_413(self, daemon):
+        # Announce the oversized body without sending it: the cap is
+        # enforced on Content-Length, before a byte of body is read.
+        assert CACHE_MAX_BODY == 64 * 1024 * 1024
+        with socket.create_connection(("127.0.0.1", daemon.port), 10) as sock:
+            sock.sendall(
+                f"POST /v{SCHEMA_VERSION}/multi-put HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {CACHE_MAX_BODY + 1}\r\n\r\n".encode()
+            )
+            response = sock.recv(4096)
+        assert b"413" in response.split(b"\r\n", 1)[0]
+        self._still_serving(daemon)
+
+    @pytest.mark.parametrize("method,path", [
+        ("GET", "/v{schema}/nope"),
+        ("GET", "/v{schema}/multi-get"),
+        ("POST", "/v{schema}/stats"),
+        # the retired single-object routes
+        ("GET", "/v{schema}/objects/aa1111"),
+        ("PUT", "/v{schema}/objects/aa1111"),
+        ("GET", "/nope"),
+    ])
+    def test_unknown_route_is_404(self, daemon, method, path):
+        body = b"{}" if method in ("POST", "PUT") else b""
+        status, _ = _raw(daemon, method, path.format(schema=SCHEMA_VERSION),
+                         body)
+        assert status == 404
+        self._still_serving(daemon)
 
 
 class _GarbageHandler(BaseHTTPRequestHandler):
@@ -126,14 +207,12 @@ class _GarbageHandler(BaseHTTPRequestHandler):
 
     do_GET = _garbage
     do_POST = _garbage
-    do_PUT = _garbage
 
 
 class TestFailOpen:
     def test_refused_connection(self):
         client = CacheClient("http://127.0.0.1:1", timeout_s=0.5)
         assert client.multi_get(["aa1111"]) == {}
-        assert client.get("aa1111") is None
         assert not client.publish({"aa1111": _entry()})
         assert not client.alive
         # Dead upstreams are skipped without further round trips.
@@ -176,7 +255,7 @@ class TestFailOpen:
         cache.put("aa1111", proved=True, elapsed_s=0.1)
         cache.prefetch(["bb2222"])
         cache.save()  # publish fails silently; L1 still written
-        assert ShardedStore(tmp_path, SCHEMA_VERSION).has("aa1111")
+        assert ShardedStore(tmp_path, SCHEMA_VERSION).get("aa1111") is not None
 
 
 class TestEndToEnd:
@@ -229,21 +308,66 @@ class TestEndToEnd:
         store = ShardedStore(tmp_path / "b", SCHEMA_VERSION)
         assert store.count() > 0
 
+    def test_wrong_typed_l2_entry_is_reproved(self, tmp_path, daemon):
+        # A truthy string is not a proof: an entry whose ``proved`` is the
+        # string "false" reads as a miss and the obligation is re-proved.
+        baseline = self._canonical_off()
+        verify_suite(VerifyOptions(prover=FAST, cache_url=daemon.url),
+                     **MINI_SUITE)
+        key = sorted(daemon.store.keys())[0]
+        poisoned = dict(daemon.store.get(key), proved="false", context="abc")
+        assert daemon.store.put(key, poisoned)
+
+        warm = verify_suite(VerifyOptions(prover=FAST, cache_url=daemon.url),
+                            **MINI_SUITE)
+        assert warm.canonical() == baseline
+        assert warm.cache.stats.misses >= 1
+        assert warm.cache.stats.stores == 1
+        assert not all(r.cached for rep in warm.reports for r in rep.results)
+
     def test_daemon_killed_mid_suite_fails_open(self, tmp_path):
         baseline = self._canonical_off()
-        server = _start(tmp_path)
+        running = _start(tmp_path)
         killed = threading.Event()
 
         def kill_after_first(report):
             if not killed.is_set():
                 killed.set()
-                server.shutdown()
-                server.server_close()
+                running.stop()
 
         suite = verify_suite(
-            VerifyOptions(prover=FAST, cache_url=server.url),
+            VerifyOptions(prover=FAST, cache_url=running.url),
             progress=kill_after_first,
             **MINI_SUITE,
         )  # must not raise
         assert killed.is_set()
         assert suite.canonical() == baseline
+
+
+class TestCacheServeCommand:
+    def test_sigterm_exits_zero(self, tmp_path):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "cache", "serve",
+             "--dir", str(tmp_path / "store"), "--port", str(port)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "[cache-serve] listening on" in banner, banner
+            client = CacheClient(f"http://127.0.0.1:{port}")
+            assert client.publish({"aa1111": _entry()})
+            assert set(client.multi_get(["aa1111"])) == {"aa1111"}
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()

@@ -8,10 +8,10 @@ Covers the cache contract the parallel/cached checker relies on:
 * invalidation when an optimization's guards, witness, or the background
   axiom set change (the key covers all proof inputs);
 * ``unknown`` verdicts are config-scoped while ``proved`` ones are not;
-* a corrupted cache file is recovered from, never fatal;
-* the sharded on-disk store (one file per verdict) merges concurrent
-  writers instead of clobbering, and the pre-CAS monolithic file is
-  migrated exactly once;
+* a corrupted, wrong-schema or wrong-typed cache object is recovered
+  from, never fatal (it reads as absent and the obligation is re-proved);
+* the sharded on-disk store (one file per verdict) is the only on-disk
+  format and unions concurrent writers instead of clobbering;
 * the per-process memo of keys and the axiom digest returns exactly the
   unmemoized hashes (pinned as literals, so stores written before the memo
   stay warm), discriminates every key input, and is safe to share across
@@ -39,8 +39,8 @@ from repro.logic.terms import App
 from repro.verify import ProofCache, SoundnessChecker
 from repro.verify import cache as cache_mod
 from repro.verify.cache import (
-    CACHE_FILENAME,
     SCHEMA_VERSION,
+    CachedVerdict,
     axioms_digest,
     config_fingerprint,
     obligation_key,
@@ -276,16 +276,26 @@ class TestPrefetchLocking:
 
 class TestRobustness:
     def test_corrupted_file_recovered(self, tmp_path):
-        # A corrupt pre-CAS monolithic file contributes nothing, never
-        # crashes, and is moved aside so it is not re-read forever.
-        path = tmp_path / CACHE_FILENAME
+        # A stray (here: corrupt) single-file store from before the CAS is
+        # neither read, imported nor touched; the CAS works beside it.
+        path = tmp_path / "proof-cache.json"
         path.write_text('{"schema": 1, "entries": {truncated')
         cache = ProofCache(tmp_path)
         assert len(cache) == 0
         cache.put("k", proved=True, elapsed_s=0.5)
         cache.save()
-        assert not path.exists()
+        assert path.read_text() == '{"schema": 1, "entries": {truncated'
         assert len(ProofCache(tmp_path)) == 1
+
+    def test_single_file_store_not_imported(self, tmp_path):
+        # Its verdicts are re-proved once, then live in the CAS.
+        entry = {"proved": True, "elapsed_s": 0.1, "context": [],
+                 "config": "", "backend": "internal"}
+        (tmp_path / "proof-cache.json").write_text(json.dumps(
+            {"schema": SCHEMA_VERSION, "entries": {"aaaa": entry}}))
+        cache = ProofCache(tmp_path)
+        assert cache.get("aaaa", "") is None
+        assert (cache.stats.misses, len(cache)) == (1, 0)
 
     def test_corrupted_object_treated_as_absent(self, tmp_path):
         cache = ProofCache(tmp_path)
@@ -298,9 +308,13 @@ class TestRobustness:
         assert fresh.stats.misses == 1
 
     def test_wrong_schema_ignored(self, tmp_path):
-        path = tmp_path / CACHE_FILENAME
-        path.write_text(json.dumps({"schema": 999, "entries": {"k": {}}}))
-        assert len(ProofCache(tmp_path)) == 0
+        obj = tmp_path / "objects" / "aa" / "aaaa.json"
+        obj.parent.mkdir(parents=True)
+        obj.write_text(json.dumps({"schema": 999, "entry": {
+            "proved": True, "elapsed_s": 0.1, "context": []}}))
+        cache = ProofCache(tmp_path)
+        assert cache.get("aaaa", "") is None
+        assert cache.stats.misses == 1
 
     def test_missing_directory_created_on_save(self, tmp_path):
         root = tmp_path / "deep" / "nested"
@@ -313,26 +327,24 @@ class TestRobustness:
     def test_save_without_changes_is_noop(self, tmp_path):
         cache = ProofCache(tmp_path)
         cache.save()
-        assert not (tmp_path / "objects").exists()
-        assert not (tmp_path / CACHE_FILENAME).exists()
+        assert not any(tmp_path.iterdir())
 
-    def test_direct_json_path_accepted(self, tmp_path):
-        cache = ProofCache(tmp_path / "verdicts.json")
-        cache.put("k", proved=True, elapsed_s=0.1)
-        cache.save()
-        assert (tmp_path / "verdicts.json").exists()
-        assert len(ProofCache(tmp_path / "verdicts.json")) == 1
-
-    def test_existing_plain_file_treated_as_cache_file(self, tmp_path):
-        # ``--cache-dir some-existing-file`` must not crash trying to mkdir
-        # over the file; the path is taken as the cache file itself.
+    def test_existing_plain_file_fails_open(self, tmp_path, capsys):
+        # ``--cache-dir some-existing-file`` cannot hold the store: no
+        # crash, one warning, the file untouched, and verdicts are still
+        # answered from memory for the rest of the process.
         path = tmp_path / "cachefile"
         path.write_text("not json at all")
         cache = ProofCache(path)
         assert len(cache) == 0
-        cache.put("k", proved=True, elapsed_s=0.1)
-        cache.save()
-        assert len(ProofCache(path)) == 1
+        cache.put("k1", proved=True, elapsed_s=0.1)
+        cache.put("k2", proved=True, elapsed_s=0.1)
+        cache.save()  # must not raise
+        err = capsys.readouterr().err
+        assert err.count("[proof-cache] not persisted") == 1
+        assert path.read_text() == "not json at all"
+        assert cache.get("k1", "") is not None
+        assert cache.get("k2", "") is not None
 
     def test_unwritable_location_degrades_to_warning(self, tmp_path, capsys):
         # Persisting into a location whose parent is a plain file cannot
@@ -345,69 +357,61 @@ class TestRobustness:
         assert "[proof-cache] not persisted" in capsys.readouterr().err
 
 
-class TestMigration:
-    def _monolithic(self, path, entries):
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "entries": {
-                k: {"proved": True, "elapsed_s": 0.1, "context": [],
-                    "config": "", "backend": "internal"}
-                for k in entries
-            },
-        }
-        path.write_text(json.dumps(payload))
+class TestWrongTypedEntries:
+    """Entries come from disk and the network: a truthy string is not a
+    proof, and a string context is not a list of lines."""
 
-    def test_monolithic_migrated_once(self, tmp_path, capsys):
-        legacy = tmp_path / CACHE_FILENAME
-        self._monolithic(legacy, ["aaaa", "bbbb"])
+    POISONED = {"proved": "false", "elapsed_s": 0.1, "context": "abc",
+                "config": "", "backend": "internal"}
+
+    def test_from_json_rejects_wrong_types(self):
+        with pytest.raises(ValueError):
+            CachedVerdict.from_json(self.POISONED)
+        with pytest.raises(ValueError):
+            CachedVerdict.from_json(dict(self.POISONED, context=[]))
+        with pytest.raises(ValueError):
+            CachedVerdict.from_json(dict(self.POISONED, proved=False))
+
+    def _poison(self, obj):
+        data = json.loads(obj.read_text())
+        data["entry"].update(proved="false", context="abc")
+        obj.write_text(json.dumps(data))
+
+    def test_l1_object_is_a_miss_and_reproved(self, tmp_path):
+        options = VerifyOptions(cache_dir=str(tmp_path))
+        cold = SoundnessChecker(config=FAST, options=options)
+        baseline = cold.check_optimization(const_fold).canonical()
+        obj = sorted((tmp_path / "objects").glob("*/*.json"))[0]
+        self._poison(obj)
+
+        warm = SoundnessChecker(config=FAST, options=options)
+        report = warm.check_optimization(const_fold)
+        assert report.canonical() == baseline
+        # one key re-proved (constFold's F2/F3 share it: one or two misses)
+        assert warm.cache.stats.misses >= 1
+        assert warm.cache.stats.stores == 1
+        assert not all(r.cached for r in report.results)
+        # The re-proved verdict replaced the poisoned object.
+        assert json.loads(obj.read_text())["entry"]["proved"] is True
+
+    def test_gc_drop_failures_reclaims_it(self, tmp_path, capsys):
+        from repro.cli import main
+
         cache = ProofCache(tmp_path)
-        err = capsys.readouterr().err
-        assert "migrated 2 verdict(s)" in err
-        assert not legacy.exists()
-        assert (tmp_path / (CACHE_FILENAME + ".migrated")).exists()
-        assert cache.get("aaaa", "") is not None
-        assert (tmp_path / "objects" / "aa" / "aaaa.json").exists()
-        # Second open: nothing left to migrate, no message.
-        again = ProofCache(tmp_path)
-        assert "migrated" not in capsys.readouterr().err
-        assert again.get("bbbb", "") is not None
-
-    def test_migration_does_not_clobber_newer_objects(self, tmp_path):
-        cas = ProofCache(tmp_path)
-        cas.put("aaaa", proved=False, elapsed_s=0.1, config_fp="newer")
-        cas.save()
-        self._monolithic(tmp_path / CACHE_FILENAME, ["aaaa", "bbbb"])
+        cache.put("aaaa", proved=True, elapsed_s=0.1)
+        cache.put("bbbb", proved=True, elapsed_s=0.1)
+        cache.save()
+        self._poison(tmp_path / "objects" / "bb" / "bbbb.json")
+        assert main(["cache", "gc", "--dir", str(tmp_path),
+                     "--drop-failures"]) == 0
+        assert "dropped 1, kept 1" in capsys.readouterr().out
         fresh = ProofCache(tmp_path)
-        hit = fresh.get("aaaa", "newer")
-        assert hit is not None and not hit.proved  # the CAS object won
-        assert fresh.get("bbbb", "") is not None  # the new key was imported
+        assert fresh.get("aaaa", "") is not None
+        assert not (tmp_path / "objects" / "bb" / "bbbb.json").exists()
 
 
 class TestConcurrentWriters:
-    """Two caches over one location must union, not clobber (the old
-    monolithic save was last-writer-wins over the *whole file*)."""
-
-    def test_monolithic_interleaved_saves_merge(self, tmp_path):
-        path = tmp_path / "verdicts.json"
-        a = ProofCache(path)
-        b = ProofCache(path)  # loaded before a saves: sees an empty file
-        a.put("ka", proved=True, elapsed_s=0.1)
-        b.put("kb", proved=True, elapsed_s=0.2)
-        a.save()
-        b.save()  # must re-read and merge, not overwrite with {kb}
-        merged = ProofCache(path)
-        assert merged.get("ka", "") is not None
-        assert merged.get("kb", "") is not None
-
-    def test_monolithic_fresh_put_beats_file(self, tmp_path):
-        path = tmp_path / "verdicts.json"
-        a = ProofCache(path)
-        b = ProofCache(path)
-        a.put("k", proved=False, elapsed_s=0.1, config_fp="old")
-        a.save()
-        b.put("k", proved=False, elapsed_s=0.2, config_fp="new")
-        b.save()  # b's verdict for k is fresher than the file's
-        assert ProofCache(path).get("k", "new") is not None
+    """Two caches over one directory must union, not clobber."""
 
     def test_cas_interleaved_saves_union(self, tmp_path):
         a = ProofCache(tmp_path)

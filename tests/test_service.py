@@ -9,7 +9,6 @@ without disturbing the loop, and a client disconnecting mid-stream
 cancelling only its own stream.
 """
 
-import asyncio
 import http.client
 import json
 import socket
@@ -34,6 +33,8 @@ from repro.service import (
 from repro.service.wire import WireError, envelope
 from repro.verify.checker import ObligationResult
 from repro.verify.obligations import ObligationBuilder
+
+from tests.servers import BackgroundServer
 
 CONST_PROP = """
 forward optimization constProp {
@@ -324,7 +325,7 @@ class TestVerificationService:
 
         from repro.cli import parse_blocks
         from repro.cobalt.dsl import Optimization
-        from repro.verify.netcache import CacheServer
+        from repro.service.server import CacheServer
 
         items = [i if isinstance(i, Optimization) else Optimization(i)
                  for i in parse_blocks(CONST_PROP)]
@@ -334,8 +335,7 @@ class TestVerificationService:
         )
         local.cache.save()
 
-        server = CacheServer(tmp_path / "store", port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        server = BackgroundServer(CacheServer(tmp_path / "store"))
         svc = VerificationService(
             replace(FAST, cache_url=server.url), batch_window_s=0.02
         )
@@ -352,8 +352,7 @@ class TestVerificationService:
             assert svc.cache.stats.hits >= 1
         finally:
             svc.shutdown()
-            server.shutdown()
-            server.server_close()
+            server.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +360,7 @@ class TestVerificationService:
 # ---------------------------------------------------------------------------
 
 
-class DaemonFixture:
-    def __init__(self, server: ServiceServer) -> None:
-        self.server = server
-        self.thread: threading.Thread = None  # type: ignore[assignment]
-        self.loop = None
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
+class DaemonFixture(BackgroundServer):
     def request(self, method, path, body=None, headers=None, timeout=120.0):
         conn = http.client.HTTPConnection("127.0.0.1", self.port,
                                           timeout=timeout)
@@ -392,28 +382,14 @@ def _start_daemon(**kwargs):
         kwargs.pop("options", FAST), port=0,
         batch_window_s=kwargs.pop("batch_window_s", 0.02), **kwargs
     )
-    fixture = DaemonFixture(server)
-    started = threading.Event()
-
-    def run():
-        async def main():
-            await server.start()
-            started.set()
-            await server.serve_forever()
-        asyncio.run(main())
-
-    fixture.thread = threading.Thread(target=run, daemon=True)
-    fixture.thread.start()
-    assert started.wait(10), "daemon failed to start"
-    return fixture
+    return DaemonFixture(server)
 
 
 @pytest.fixture()
 def daemon():
     fixture = _start_daemon()
     yield fixture
-    fixture.server.request_stop()
-    fixture.thread.join(timeout=30)
+    fixture.stop()
 
 
 class TestHTTP:
@@ -511,8 +487,7 @@ class TestHTTPLimits:
             assert status == 429
             assert "Retry-After" in headers
         finally:
-            fixture.server.request_stop()
-            fixture.thread.join(timeout=30)
+            fixture.stop()
 
     def test_distinct_clients_have_distinct_budgets(self):
         fixture = _start_daemon(rate=0.0, burst=1.0)
@@ -525,8 +500,7 @@ class TestHTTPLimits:
                                   headers={"X-Repro-Client": "a"})[0]
             assert (a1, b1, a2) == (202, 202, 429)
         finally:
-            fixture.server.request_stop()
-            fixture.thread.join(timeout=30)
+            fixture.stop()
 
     def test_header_rotation_cannot_bypass_address_budget(self):
         # X-Repro-Client is client-supplied: rotating it mints per-client
@@ -544,8 +518,7 @@ class TestHTTPLimits:
             assert statuses[:8] == [202] * 8
             assert statuses[8] == 429
         finally:
-            fixture.server.request_stop()
-            fixture.thread.join(timeout=30)
+            fixture.stop()
 
     def test_overloaded_submission_is_429(self):
         svc = VerificationService(FAST, max_live_jobs=1)
@@ -558,8 +531,7 @@ class TestHTTPLimits:
             assert fixture.request("GET", "/v1/healthz")[0] == 200
         finally:
             del svc._jobs["blocker"]
-            fixture.server.request_stop()
-            fixture.thread.join(timeout=30)
+            fixture.stop()
 
     def test_exhausted_wait_slots_fall_back_to_202(self, daemon):
         # Every wait slot taken: the job is still accepted, just answered
@@ -585,8 +557,7 @@ class TestHTTPLimits:
             assert status == 413
             assert fixture.request("GET", "/v1/healthz")[0] == 200
         finally:
-            fixture.server.request_stop()
-            fixture.thread.join(timeout=30)
+            fixture.stop()
 
     def test_disconnect_mid_stream_does_not_kill_job(self, daemon):
         status, _, body = daemon.post_job({"source": CONST_PROP})
@@ -661,8 +632,7 @@ class TestConcurrentClients:
             )
             assert stats["jobs"]["completed"] == self.N
         finally:
-            fixture.server.request_stop()
-            fixture.thread.join(timeout=30)
+            fixture.stop()
 
 
 @pytest.mark.slow
@@ -708,5 +678,4 @@ class TestFullSuiteOverHTTP:
                 or stats["cache"]["hits"] >= 1
             )
         finally:
-            fixture.server.request_stop()
-            fixture.thread.join(timeout=60)
+            fixture.stop(timeout=60)
