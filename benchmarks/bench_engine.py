@@ -39,16 +39,20 @@ def _programs(count, **kw):
 def test_engine_throughput(benchmark, engine, opt):
     procs = _programs(20, num_stmts=16, num_vars=4)
 
+    times = []
+
     def run():
         total = 0
+        start = time.perf_counter()
         for proc in procs:
             _, applied = engine.run_optimization(opt, proc)
             total += len(applied)
+        times.append(time.perf_counter() - start)
         return total
 
     total = benchmark(run)
     stmts = sum(len(p.stmts) for p in procs)
-    _SUMMARY.append((opt.name, stmts, total))
+    _SUMMARY.append((opt.name, len(procs), stmts, total, min(times)))
 
 
 def _timed(engine, procs, opts):
@@ -198,11 +202,23 @@ def test_zz_report(benchmark):
     from _report import emit
 
     lines = []
+    rows = []
     if _SUMMARY:
         lines.append("=== E4: engine throughput (20 generated procedures each) ===")
         lines.append(f"{'optimization':16s} {'stmts':>6s} {'transformations':>16s}")
-        for name, stmts, total in _SUMMARY:
+        for name, procs, stmts, total, best_s in _SUMMARY:
             lines.append(f"{name:16s} {stmts:6d} {total:16d}")
+            rows.append(
+                {
+                    "table": "throughput",
+                    "optimization": name,
+                    "procedures": procs,
+                    "stmts": stmts,
+                    "transformations": total,
+                    "best_s": round(best_s, 4),
+                    "stmts_per_s": round(stmts / best_s, 1) if best_s else None,
+                }
+            )
     if _SCALING:
         if lines:
             lines.append("")
@@ -222,4 +238,26 @@ def test_zz_report(benchmark):
                 f"{sweeps:7d} {pops:7d} {ref_keeps:12d} {wl_keeps:9d} "
                 f"{rate:8.1%}"
             )
-    emit("E4_engine", "\n".join(lines))
+            rows.append(
+                {
+                    "table": "scaling",
+                    "size": size,
+                    "sweep_s": round(ref_s, 4),
+                    "worklist_s": round(wl_s, 4),
+                    "sweeps": sweeps,
+                    "pops": pops,
+                    "sweep_keeps": ref_keeps,
+                    "worklist_keeps": wl_keeps,
+                    "keeps_hit_rate": round(rate, 4),
+                }
+            )
+    emit(
+        "E4_engine",
+        "\n".join(lines),
+        rows=rows,
+        config={
+            "throughput": "20 procedures, 16 stmts, 4 vars; best of the benchmark's "
+            "runs on the session engine, whose memos the repeats reuse",
+            "scaling": "4 procedures per size, 4 vars; constProp + deadAssignElim",
+        },
+    )

@@ -255,6 +255,7 @@ _MISS = object()
 _EMPTY_LABELS: FrozenSet[Tuple[str, Tuple[object, ...]]] = frozenset()
 _KEEPS_MEMO_LIMIT = 1 << 20
 _GEN_MEMO_LIMIT = 1 << 16
+_INTERN_LIMIT = 1 << 16
 _PROC_STATE_LIMIT = 128
 
 
@@ -300,6 +301,22 @@ class CobaltEngine:
             key = len(table) + 1
             table[value] = key
         return key
+
+    def _bound_memos(self) -> None:
+        """Clear both memos and all four intern tables together once any
+        of them is past its limit.  Clearing a table alone would renumber
+        keys that live memo entries still use, and a lookup would then
+        return another statement's facts."""
+        tables = (self._guard_keys, self._stmt_keys, self._label_keys, self._domain_keys)
+        if (
+            len(self._gen_memo) > _GEN_MEMO_LIMIT
+            or len(self._keeps_memo) > _KEEPS_MEMO_LIMIT
+            or any(len(table) > _INTERN_LIMIT for table in tables)
+        ):
+            self._gen_memo.clear()
+            self._keeps_memo.clear()
+            for table in tables:
+                table.clear()
 
     def _state(self, proc: Procedure) -> _ProcState:
         state = self._proc_states.get(proc)
@@ -427,6 +444,7 @@ class CobaltEngine:
         n = len(proc.stmts)
         ctxs = [NodeCtx(proc, cfg, i, self.registry, labeling) for i in range(n)]
 
+        self._bound_memos()
         psi1_key = self._intern(self._guard_keys, psi1)
         psi2_key = self._intern(self._guard_keys, psi2)
         domain_key = self._intern(self._domain_keys, state.domain_sig)
@@ -438,11 +456,6 @@ class CobaltEngine:
                 self._intern(self._label_keys, frozenset(entries)) if entries else 0
             )
             node_keys.append((stmt_key, label_key))
-
-        if len(self._gen_memo) > _GEN_MEMO_LIMIT:
-            self._gen_memo.clear()
-        if len(self._keeps_memo) > _KEEPS_MEMO_LIMIT:
-            self._keeps_memo.clear()
 
         gen: List[FrozenSet[FrozenSubst]] = []
         for i in range(n):

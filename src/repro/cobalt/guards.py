@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.il.ast import Const, Expr, Stmt, Var
 from repro.cobalt.patterns import (
     ConstPat,
     ExprPat,
     IndexPat,
+    Matcher,
     OpPat,
     PStmt,
     PatternError,
@@ -42,8 +43,9 @@ from repro.cobalt.patterns import (
     VarPat,
     Wildcard,
     instantiate_expr,
-    match_stmt,
+    memo_by_id,
     pattern_vars,
+    stmt_matcher,
 )
 
 if TYPE_CHECKING:
@@ -283,52 +285,142 @@ def _leaves_of(t: object) -> Iterable[object]:
 
 def instantiate_term(t: object, theta: Subst) -> object:
     """Resolve a guard term to a concrete fragment under ``theta``."""
-    if isinstance(t, VarPat):
-        value = theta.get(t.name)
-        if value is None:
-            raise PatternError(f"unbound pattern variable {t.name}")
-        return value
-    if isinstance(t, (ConstPat, ExprPat, OpPat, IndexPat)):
-        value = theta.get(t.name)
-        if value is None:
-            raise PatternError(f"unbound pattern variable {t.name}")
-        return value
+    return _term_getter(t)(theta)
+
+
+def _term_getter(t: object) -> Callable[[Subst], object]:
+    """``instantiate_term(t, .)`` with the dispatch on ``t`` done once."""
+    if isinstance(t, (VarPat, ConstPat, ExprPat, OpPat, IndexPat)):
+        name = t.name
+
+        def get(theta: Subst) -> object:
+            value = theta.get(name)
+            if value is None:
+                raise PatternError(f"unbound pattern variable {name}")
+            return value
+
+        return get
     if isinstance(t, (Var, Const, str, int)):
-        return t
+        return lambda theta: t
     # Composite expressions (e.g. &X inside a label argument).
-    return instantiate_expr(t, theta)
+    return lambda theta: instantiate_expr(t, theta)
 
 
 # ---------------------------------------------------------------------------
 # Check mode
 # ---------------------------------------------------------------------------
+#
+# A guard compiles once into a tree of closures ``(theta, ctx) -> bool``;
+# ``check`` looks the tree up by the guard's id.  ``case`` arms are grouped
+# by statement class, so only the arms for the current statement's class
+# are tried.  Labels bind late: a label node looks its name up in
+# ``ctx.registry`` on every evaluation, because registries differ between
+# engines and a label may be defined after a guard was first compiled.
+
+#: ``compiled(theta, ctx)``: the guard's truth at ``ctx`` under ``theta``.
+Compiled = Callable[[Subst, "NodeCtx"], bool]
+
+_COMPILED: Dict[int, Tuple[Guard, Compiled]] = {}
+_LEAVES: Dict[int, Tuple[Guard, FrozenSet[object]]] = {}
+_GUARD_MEMO_LIMIT = 1 << 12
 
 
 def check(guard: Guard, theta: Subst, ctx: "NodeCtx") -> bool:
     """Evaluate ``iota |=theta psi`` with a fully binding ``theta``."""
+    # The hot path, one probe; memo_by_id compiles and stores on a miss.
+    entry = _COMPILED.get(id(guard))
+    if entry is not None and entry[0] is guard:
+        return entry[1](theta, ctx)
+    compiled = memo_by_id(_COMPILED, _GUARD_MEMO_LIMIT, guard, _compile)
+    return compiled(theta, ctx)  # type: ignore[operator]
+
+
+def _true(theta: Subst, ctx: "NodeCtx") -> bool:
+    return True
+
+
+def _false(theta: Subst, ctx: "NodeCtx") -> bool:
+    return False
+
+
+def _compile(guard: Guard) -> Compiled:
     if isinstance(guard, GTrue):
-        return True
+        return _true
     if isinstance(guard, GFalse):
-        return False
+        return _false
     if isinstance(guard, GNot):
-        return not check(guard.body, theta, ctx)
+        body = _compile(guard.body)
+        return lambda theta, ctx: not body(theta, ctx)
     if isinstance(guard, GAnd):
-        return all(check(p, theta, ctx) for p in guard.parts)
+        conjuncts = tuple(map(_compile, guard.parts))
+
+        def conj(theta: Subst, ctx: "NodeCtx") -> bool:
+            for part in conjuncts:
+                if not part(theta, ctx):
+                    return False
+            return True
+
+        return conj
     if isinstance(guard, GOr):
-        return any(check(p, theta, ctx) for p in guard.parts)
+        disjuncts = tuple(map(_compile, guard.parts))
+
+        def disj(theta: Subst, ctx: "NodeCtx") -> bool:
+            for part in disjuncts:
+                if part(theta, ctx):
+                    return True
+            return False
+
+        return disj
     if isinstance(guard, GLabel):
         if guard.name == "stmt":
-            return match_stmt(guard.args[0], ctx.stmt, theta) is not None
-        return ctx.registry.holds(guard.name, guard.args, theta, ctx)
+            match = stmt_matcher(guard.args[0])
+            return lambda theta, ctx: match(ctx.stmt, theta) is not None
+        return _compile_label(guard.name, tuple(map(_term_getter, guard.args)))
     if isinstance(guard, GEq):
-        return instantiate_term(guard.lhs, theta) == instantiate_term(guard.rhs, theta)
+        lhs, rhs = _term_getter(guard.lhs), _term_getter(guard.rhs)
+        return lambda theta, ctx: lhs(theta) == rhs(theta)
     if isinstance(guard, GCase):
-        for pattern, arm in guard.arms:
-            extended = match_stmt(pattern, ctx.stmt, theta)
+        return _compile_case(guard)
+
+    def malformed(theta: Subst, ctx: "NodeCtx") -> bool:
+        raise TypeError(f"not a guard: {guard!r}")
+
+    return malformed
+
+
+def _compile_label(name: str, getters: Tuple[Callable[[Subst], object], ...]) -> Compiled:
+    if len(getters) == 1:
+        (get,) = getters
+
+        def unary(theta: Subst, ctx: "NodeCtx") -> bool:
+            return ctx.registry.lookup(name).eval((get(theta),), ctx)  # type: ignore[attr-defined]
+
+        return unary
+
+    def label(theta: Subst, ctx: "NodeCtx") -> bool:
+        args = tuple([get(theta) for get in getters])
+        return ctx.registry.lookup(name).eval(args, ctx)  # type: ignore[attr-defined]
+
+    return label
+
+
+def _compile_case(guard: GCase) -> Compiled:
+    by_class: Dict[type, List[Tuple[Matcher, Compiled]]] = {}
+    for pattern, arm in guard.arms:
+        by_class.setdefault(type(pattern), []).append((stmt_matcher(pattern), _compile(arm)))
+    arms = {cls: tuple(entries) for cls, entries in by_class.items()}
+    default = _compile(guard.default)
+    none: Tuple[Tuple[Matcher, Compiled], ...] = ()
+
+    def case(theta: Subst, ctx: "NodeCtx") -> bool:
+        stmt = ctx.stmt
+        for match, arm in arms.get(stmt.__class__, none):
+            extended = match(stmt, theta)
             if extended is not None:
-                return check(arm, extended, ctx)
-        return check(guard.default, theta, ctx)
-    raise TypeError(f"not a guard: {guard!r}")
+                return arm(extended, ctx)
+        return default(theta, ctx)
+
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +437,7 @@ def generate(guard: Guard, base: Subst, ctx: "NodeCtx") -> List[Subst]:
     domains of the enclosing procedure.
     """
     partials = _gen(guard, dict(base), ctx)
-    needed = guard_leaves(guard)
+    needed = memo_by_id(_LEAVES, _GUARD_MEMO_LIMIT, guard, guard_leaves)
     out: List[Subst] = []
     seen: set = set()
     for theta in partials:
@@ -365,7 +457,7 @@ def _gen(guard: Guard, theta: Subst, ctx: "NodeCtx") -> List[Subst]:
         return [theta]
     if isinstance(guard, GLabel):
         if guard.name == "stmt":
-            extended = match_stmt(guard.args[0], ctx.stmt, theta)
+            extended = stmt_matcher(guard.args[0])(ctx.stmt, theta)
             return [extended] if extended is not None else []
         return [theta]
     if isinstance(guard, GEq):
@@ -385,7 +477,7 @@ def _gen(guard: Guard, theta: Subst, ctx: "NodeCtx") -> List[Subst]:
     if isinstance(guard, GCase):
         out = []
         for pattern, arm in guard.arms:
-            extended = match_stmt(pattern, ctx.stmt, theta)
+            extended = stmt_matcher(pattern)(ctx.stmt, theta)
             if extended is not None:
                 out.extend(_gen(arm, extended, ctx))
                 return out

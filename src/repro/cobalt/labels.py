@@ -31,6 +31,7 @@ bodies (``usesVar``, ``definesVar``, ``exprUses``, ``exprMentions``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -70,7 +71,6 @@ from repro.cobalt.guards import (
     GTrue,
     Guard,
     check,
-    instantiate_term,
 )
 from repro.cobalt.patterns import (
     ConstPat,
@@ -123,10 +123,11 @@ class NodeCtx:
     index: int
     registry: "LabelRegistry"
     labeling: Labeling = field(default_factory=Labeling)
+    #: the statement at ``index``, read once (guards consult it constantly)
+    stmt: Stmt = field(init=False)
 
-    @property
-    def stmt(self) -> Stmt:
-        return self.proc.stmt_at(self.index)
+    def __post_init__(self) -> None:
+        self.stmt = self.proc.stmt_at(self.index)
 
     def at(self, index: int) -> "NodeCtx":
         return NodeCtx(self.proc, self.cfg, index, self.registry, self.labeling)
@@ -219,13 +220,10 @@ class LabelRegistry:
         return label
 
     def lookup(self, name: str) -> LabelDef:
-        if name not in self.defs:
-            raise LabelError(f"undefined label {name}")
-        return self.defs[name]
-
-    def holds(self, name: str, args: Tuple[object, ...], theta: Subst, ctx: NodeCtx) -> bool:
-        inst = tuple(instantiate_term(a, theta) for a in args)
-        return self.lookup(name).eval(inst, ctx)
+        try:
+            return self.defs[name]
+        except KeyError:
+            raise LabelError(f"undefined label {name}") from None
 
     def copy(self) -> "LabelRegistry":
         out = LabelRegistry()
@@ -320,7 +318,15 @@ def standard_registry() -> LabelRegistry:
     conservative ``mayDef``/``mayUse``, ``unchanged``, the ``notTainted``
     semantic label (populated by the taintedness pure analysis), and the
     pointer-aware ``mayDefPT``/``mayUsePT`` from section 2.4.
+
+    The definitions are built once per process; each call returns a fresh
+    registry over them, so a ``define`` on one never reaches another.
     """
+    return _standard_library().copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_library() -> LabelRegistry:
     reg = LabelRegistry()
 
     reg.define(NativeLabel("usesVar", 1, _uses_var))

@@ -23,7 +23,8 @@ parser, e.g. ``"X := Y"``, ``"*X := Z"``, ``"X := ?E"``, ``"return ..."``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.il.ast import (
     AddrOf,
@@ -161,128 +162,193 @@ class PatternError(Exception):
 # ---------------------------------------------------------------------------
 # Matching
 # ---------------------------------------------------------------------------
+#
+# A pattern statement compiles once into a matcher: the statement class it
+# accepts, a list of binding-free tests (nested node classes, concrete
+# leaves), and a list of ``(getter, name)`` bindings.  Matching runs the
+# tests, then the bindings, and copies theta only when a binding adds a
+# variable theta does not have yet.  A name bound twice (``X := X``) or
+# already bound in theta must meet the same value again.
+
+#: ``matcher(stmt, theta)``: the extended substitution, or None.  The
+#: result is ``theta`` itself when the match binds nothing new.
+Matcher = Callable[[Stmt, Subst], Optional[Subst]]
+
+_MATCHERS: Dict[int, Tuple[PStmt, Matcher]] = {}
+_MATCHERS_LIMIT = 1 << 12
 
 
-def _bind(theta: Subst, name: str, value: object) -> Optional[Subst]:
-    bound = theta.get(name)
-    if bound is None:
-        out = dict(theta)
-        out[name] = value
+def memo_by_id(table: Dict[int, Tuple[object, object]], limit: int, obj: object,
+               build: Callable[[object], object]) -> object:
+    """``build(obj)``, memoized in ``table`` under ``id(obj)``.
+
+    Each entry pins ``obj``, so its id cannot be reused by another object
+    while the entry lives; the table is cleared when it reaches ``limit``.
+    Nothing is stored on ``obj`` itself (AST nodes are frozen and pickled).
+    """
+    entry = table.get(id(obj))
+    if entry is not None and entry[0] is obj:
+        return entry[1]
+    value = build(obj)
+    if len(table) >= limit:
+        table.clear()
+    table[id(obj)] = (obj, value)
+    return value
+
+
+class _Plan:
+    """The tests and bindings of one pattern statement, in path order (a
+    node's class test precedes every getter that descends into it)."""
+
+    def __init__(self) -> None:
+        self.tests: List[Callable[[Stmt], bool]] = []
+        self.binds: List[Tuple[Callable[[Stmt], object], str]] = []
+        self.never = False
+
+    def equal(self, path: str, value: object) -> None:
+        get = attrgetter(path)
+        self.tests.append(lambda stmt: get(stmt) == value)
+
+    def is_a(self, path: str, cls: type) -> None:
+        get = attrgetter(path)
+        self.tests.append(lambda stmt: isinstance(get(stmt), cls))
+
+    def bind(self, path: str, name: str) -> None:
+        self.binds.append((attrgetter(path), name))
+
+    def var(self, pattern: object, path: str) -> None:
+        if isinstance(pattern, Wildcard):
+            return
+        if isinstance(pattern, VarPat):
+            self.bind(path, pattern.name)
+        elif isinstance(pattern, Var):
+            self.equal(path, pattern)
+        else:
+            self.never = True
+
+    def base(self, pattern: object, path: str) -> None:
+        if isinstance(pattern, Wildcard):
+            return
+        if isinstance(pattern, (VarPat, ConstPat)):
+            self.is_a(path, Var if isinstance(pattern, VarPat) else Const)
+            self.bind(path, pattern.name)
+        elif isinstance(pattern, ExprPat):
+            self.bind(path, pattern.name)
+        elif isinstance(pattern, (Var, Const)):
+            self.equal(path, pattern)
+        else:
+            self.never = True
+
+    def expr(self, pattern: object, path: str) -> None:
+        if isinstance(pattern, (Deref, AddrOf)):
+            self.is_a(path, type(pattern))
+            self.var(pattern.var, path + ".var")
+        elif isinstance(pattern, UnOp):
+            self.is_a(path, UnOp)
+            self.op(pattern.op, path + ".op")
+            self.base(pattern.arg, path + ".arg")
+        elif isinstance(pattern, BinOp):
+            self.is_a(path, BinOp)
+            self.op(pattern.op, path + ".op")
+            self.base(pattern.left, path + ".left")
+            self.base(pattern.right, path + ".right")
+        else:
+            # A base pattern only matches a base expression, and an
+            # expression pattern matches anything: the base rules say both.
+            self.base(pattern, path)
+
+    def op(self, pattern: object, path: str) -> None:
+        if isinstance(pattern, OpPat):
+            self.bind(path, pattern.name)
+        else:
+            self.equal(path, pattern)
+
+    def index(self, pattern: object, path: str) -> None:
+        if isinstance(pattern, Wildcard):
+            return
+        if isinstance(pattern, IndexPat):
+            self.bind(path, pattern.name)
+        else:
+            self.equal(path, pattern)
+
+    def lhs(self, pattern: object, path: str) -> None:
+        if isinstance(pattern, Wildcard):
+            return
+        if isinstance(pattern, (VarLhs, DerefLhs)):
+            self.is_a(path, type(pattern))
+            self.var(pattern.var, path + ".var")
+        else:
+            self.never = True
+
+    def stmt(self, pattern: PStmt) -> None:
+        if isinstance(pattern, (Decl, New, Return)):
+            self.var(pattern.var, "var")
+        elif isinstance(pattern, Assign):
+            self.lhs(pattern.lhs, "lhs")
+            self.expr(pattern.rhs, "rhs")
+        elif isinstance(pattern, Call):
+            self.var(pattern.var, "var")
+            if not isinstance(pattern.proc, Wildcard):
+                self.equal("proc", pattern.proc)
+            self.base(pattern.arg, "arg")
+        elif isinstance(pattern, IfGoto):
+            self.base(pattern.cond, "cond")
+            self.index(pattern.then_index, "then_index")
+            self.index(pattern.else_index, "else_index")
+        elif not isinstance(pattern, Skip):
+            self.never = True
+
+
+def _never(stmt: Stmt, theta: Subst) -> None:
+    return None
+
+
+def _compile_stmt(pattern: PStmt) -> Matcher:
+    plan = _Plan()
+    plan.stmt(pattern)
+    if plan.never:
+        return _never
+    cls = type(pattern)
+    tests = tuple(plan.tests)
+    binds = tuple(plan.binds)
+
+    def match(stmt: Stmt, theta: Subst) -> Optional[Subst]:
+        if stmt.__class__ is not cls:
+            return None
+        for test in tests:
+            if not test(stmt):
+                return None
+        out = theta
+        for get, name in binds:
+            value = get(stmt)
+            bound = out.get(name)
+            if bound is None:
+                if out is theta:
+                    out = dict(theta)
+                out[name] = value
+            elif bound != value:
+                return None
         return out
-    return theta if bound == value else None
+
+    return match
 
 
-def match_var(pattern: object, var: Var, theta: Subst) -> Optional[Subst]:
-    if isinstance(pattern, Wildcard):
-        return theta
-    if isinstance(pattern, VarPat):
-        return _bind(theta, pattern.name, var)
-    if isinstance(pattern, Var):
-        return theta if pattern == var else None
-    return None
-
-
-def match_base(pattern: object, value: BaseExpr, theta: Subst) -> Optional[Subst]:
-    if isinstance(pattern, Wildcard):
-        return theta
-    if isinstance(pattern, VarPat):
-        return _bind(theta, pattern.name, value) if isinstance(value, Var) else None
-    if isinstance(pattern, ConstPat):
-        return _bind(theta, pattern.name, value) if isinstance(value, Const) else None
-    if isinstance(pattern, ExprPat):
-        return _bind(theta, pattern.name, value)
-    if isinstance(pattern, (Var, Const)):
-        return theta if pattern == value else None
-    return None
-
-
-def match_expr(pattern: object, expr: Expr, theta: Subst) -> Optional[Subst]:
-    if isinstance(pattern, Wildcard):
-        return theta
-    if isinstance(pattern, ExprPat):
-        return _bind(theta, pattern.name, expr)
-    if isinstance(pattern, (VarPat, ConstPat, Var, Const)):
-        return match_base(pattern, expr, theta) if isinstance(expr, (Var, Const)) else None
-    if isinstance(pattern, Deref) and isinstance(expr, Deref):
-        return match_var(pattern.var, expr.var, theta)
-    if isinstance(pattern, AddrOf) and isinstance(expr, AddrOf):
-        return match_var(pattern.var, expr.var, theta)
-    if isinstance(pattern, UnOp) and isinstance(expr, UnOp):
-        theta2 = _match_op(pattern.op, expr.op, theta)
-        if theta2 is None:
-            return None
-        return match_base(pattern.arg, expr.arg, theta2)
-    if isinstance(pattern, BinOp) and isinstance(expr, BinOp):
-        theta2 = _match_op(pattern.op, expr.op, theta)
-        if theta2 is None:
-            return None
-        theta3 = match_base(pattern.left, expr.left, theta2)
-        if theta3 is None:
-            return None
-        return match_base(pattern.right, expr.right, theta3)
-    return None
-
-
-def _match_op(pattern_op: object, op: str, theta: Subst) -> Optional[Subst]:
-    if isinstance(pattern_op, OpPat):
-        return _bind(theta, pattern_op.name, op)
-    return theta if pattern_op == op else None
-
-
-def _match_index(pattern: object, index: int, theta: Subst) -> Optional[Subst]:
-    if isinstance(pattern, Wildcard):
-        return theta
-    if isinstance(pattern, IndexPat):
-        return _bind(theta, pattern.name, index)
-    return theta if pattern == index else None
-
-
-def match_lhs(pattern: object, lhs: object, theta: Subst) -> Optional[Subst]:
-    if isinstance(pattern, Wildcard):
-        return theta
-    if isinstance(pattern, VarLhs) and isinstance(lhs, VarLhs):
-        return match_var(pattern.var, lhs.var, theta)
-    if isinstance(pattern, DerefLhs) and isinstance(lhs, DerefLhs):
-        return match_var(pattern.var, lhs.var, theta)
-    return None
+def stmt_matcher(pattern: PStmt) -> Matcher:
+    """The compiled matcher of a pattern statement (built once per pattern
+    object)."""
+    return memo_by_id(_MATCHERS, _MATCHERS_LIMIT, pattern, _compile_stmt)  # type: ignore[return-value]
 
 
 def match_stmt(pattern: PStmt, stmt: Stmt, theta: Optional[Subst] = None) -> Optional[Subst]:
     """Match a pattern statement against a concrete statement.
 
     Returns the extended substitution, or None when they do not match.
-    The incoming ``theta`` is never mutated.
+    The incoming ``theta`` is never mutated, and the result is always a
+    fresh dict.
     """
-    theta = dict(theta or {})
-    if isinstance(pattern, Skip) and isinstance(stmt, Skip):
-        return theta
-    if isinstance(pattern, Decl) and isinstance(stmt, Decl):
-        return match_var(pattern.var, stmt.var, theta)
-    if isinstance(pattern, Assign) and isinstance(stmt, Assign):
-        theta2 = match_lhs(pattern.lhs, stmt.lhs, theta)
-        if theta2 is None:
-            return None
-        return match_expr(pattern.rhs, stmt.rhs, theta2)
-    if isinstance(pattern, New) and isinstance(stmt, New):
-        return match_var(pattern.var, stmt.var, theta)
-    if isinstance(pattern, Call) and isinstance(stmt, Call):
-        theta2 = match_var(pattern.var, stmt.var, theta)
-        if theta2 is None:
-            return None
-        if not isinstance(pattern.proc, Wildcard) and pattern.proc != stmt.proc:
-            return None
-        return match_base(pattern.arg, stmt.arg, theta2)
-    if isinstance(pattern, IfGoto) and isinstance(stmt, IfGoto):
-        theta2 = match_base(pattern.cond, stmt.cond, theta)
-        if theta2 is None:
-            return None
-        theta3 = _match_index(pattern.then_index, stmt.then_index, theta2)
-        if theta3 is None:
-            return None
-        return _match_index(pattern.else_index, stmt.else_index, theta3)
-    if isinstance(pattern, Return) and isinstance(stmt, Return):
-        return match_var(pattern.var, stmt.var, theta)
-    return None
+    theta = theta or {}
+    out = stmt_matcher(pattern)(stmt, theta)
+    return dict(out) if out is theta else out
 
 
 # ---------------------------------------------------------------------------

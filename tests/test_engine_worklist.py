@@ -332,6 +332,39 @@ class TestEngineStats:
 # ---------------------------------------------------------------------------
 
 
+class TestBoundedMemos:
+    def test_intern_tables_stay_bounded_and_results_unchanged(self, monkeypatch):
+        """One engine over many programs, as a fuzz campaign runs it: the
+        memos and the intern tables that key them are cleared together, so
+        every table stays bounded and no answer changes."""
+        from repro.cobalt import engine as engine_module
+
+        gen_limit, keeps_limit, intern_limit = 64, 256, 24
+        monkeypatch.setattr(engine_module, "_GEN_MEMO_LIMIT", gen_limit)
+        monkeypatch.setattr(engine_module, "_KEEPS_MEMO_LIMIT", keeps_limit)
+        monkeypatch.setattr(engine_module, "_INTERN_LIMIT", intern_limit)
+        procs = generated_procs(24, num_stmts=8, allow_pointers=True, seed_base=900)
+        shared = CobaltEngine(standard_registry())
+        for proc in procs:
+            n = len(proc.stmts)
+            for opt in ALL_OPTIMIZATIONS:
+                evals_before = shared.stats.keeps_evals
+                got = shared.run_optimization(opt, proc)
+                assert got == CobaltEngine(standard_registry()).run_optimization(opt, proc)
+                # Bounds are enforced when a fixpoint starts, so a table
+                # may exceed its limit by at most one fixpoint's additions.
+                assert len(shared._guard_keys) <= intern_limit + 2
+                assert len(shared._stmt_keys) <= intern_limit + n
+                assert len(shared._label_keys) <= intern_limit + n
+                assert len(shared._domain_keys) <= intern_limit + 1
+                assert len(shared._gen_memo) <= gen_limit + n
+                assert len(shared._keeps_memo) <= (
+                    keeps_limit + shared.stats.keeps_evals - evals_before
+                )
+        distinct = {s for proc in procs for s in proc.stmts}
+        assert len(distinct) > 2 * intern_limit, "the workload must overflow the tables"
+
+
 class TestCfgOrders:
     def test_reverse_postorder_visits_before_successors(self):
         proc = parse_program(

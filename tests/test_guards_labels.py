@@ -249,3 +249,36 @@ class TestRegistry:
         clone.define(CaseLabel("custom", (), GTrue()))
         with pytest.raises(LabelError):
             registry.lookup("custom")
+
+
+class TestStandardRegistry:
+    def test_calls_return_independent_registries(self):
+        first, second = standard_registry(), standard_registry()
+        assert first is not second
+        assert first.defs == second.defs
+        first.define(CaseLabel("onlyInFirst", (), GTrue()))
+        assert "onlyInFirst" not in second.defs
+        assert "onlyInFirst" not in standard_registry().defs
+
+    def test_library_is_built_once(self, monkeypatch):
+        from repro.cobalt import labels
+
+        calls = []
+        real = labels.parse_pattern_stmt
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(labels, "parse_pattern_stmt", counting)
+        labels._standard_library.cache_clear()
+        try:
+            built = standard_registry()
+            assert calls, "the first call builds the library"
+            calls.clear()
+            again = standard_registry()
+            assert calls == [], "a second call must parse no patterns"
+            assert again.defs == built.defs
+        finally:
+            monkeypatch.undo()
+            labels._standard_library.cache_clear()
