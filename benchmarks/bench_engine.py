@@ -7,11 +7,10 @@ throughput over generated programs (fixed-point analysis + transformation),
 scaling with procedure size, and the recursive/iterated mode (the
 "recursive version of dead-assignment elimination" the paper describes).
 
-The scaling experiment compares the two fixpoint solvers head to head
-(see docs/ENGINE.md): the retained naive reference sweep ("before") vs.
-the memoized priority worklist ("after"), asserting along the way that
-their facts and transformations are identical — the speedup must not buy
-a different answer.
+The scaling experiment records the worklist solver's work and wall time
+as procedures grow (see docs/ENGINE.md): worklist pops, ``keeps``
+evaluations actually run, and the memo hit rate.  The answers themselves
+are pinned by ``tests/golden/engine_runs.txt``.
 """
 
 import time
@@ -71,37 +70,17 @@ def _timed(engine, procs, opts):
     "size", [8, 16, 32, 64, 128], ids=lambda s: f"{s}stmts"
 )
 def test_engine_scaling(benchmark, size):
-    """Sweep vs. worklist at growing procedure sizes.
-
-    Both solvers run the same passes over the same programs; results must
-    be identical, and from 64 statements up the worklist must strictly
-    dominate the sweep (fewer ``keeps`` evaluations *and* lower wall
-    time) — the E4 acceptance criterion.
-    """
+    """The worklist solver at growing procedure sizes: one fresh engine
+    runs constProp and deadAssignElim over the same programs; its work
+    counters are deterministic, its wall time is a same-machine figure."""
     procs = _programs(4, num_stmts=size, num_vars=4)
     opts = [const_prop, dae]
-    reference = CobaltEngine(standard_registry(), mode="reference")
-    worklist = CobaltEngine(standard_registry())
-
-    ref_s, ref_stats, ref_out = _timed(reference, procs, opts)
-    wl_s, wl_stats, wl_out = _timed(worklist, procs, opts)
-
-    assert wl_out == ref_out, "worklist and reference engines diverge"
-    assert wl_stats.keeps_evals < ref_stats.keeps_evals
-    if size >= 64:
-        assert wl_s < ref_s, (
-            f"worklist ({wl_s:.3f}s) must beat the sweep ({ref_s:.3f}s) "
-            f"at {size} statements"
-        )
-
+    wl_s, wl_stats, _ = _timed(CobaltEngine(standard_registry()), procs, opts)
     _SCALING.append(
         (
             size,
-            ref_s,
             wl_s,
-            ref_stats.sweeps,
             wl_stats.worklist_pops,
-            ref_stats.keeps_evals,
             wl_stats.keeps_evals,
             wl_stats.keeps_hit_rate,
         )
@@ -111,26 +90,6 @@ def test_engine_scaling(benchmark, size):
         rounds=1,
         iterations=1,
     )
-
-
-@pytest.mark.parametrize("mode", ["reference", "worklist"])
-def test_engine_smoke_cross_check(benchmark, mode):
-    """The CI smoke tier: one small-size suite pass per solver, asserting
-    the worklist reproduces the reference sweep exactly."""
-    procs = _programs(3, num_stmts=12, num_vars=4)
-    opts = [const_prop, copy_prop, cse, dae]
-    engine = CobaltEngine(standard_registry(), mode=mode)
-    other = CobaltEngine(
-        standard_registry(),
-        mode="worklist" if mode == "reference" else "reference",
-    )
-
-    def run():
-        return [engine.run_optimization(opt, p) for p in procs for opt in opts]
-
-    mine = benchmark(run)
-    theirs = [other.run_optimization(opt, p) for p in procs for opt in opts]
-    assert mine == theirs
 
 
 def test_iterated_dae(benchmark, engine):
@@ -223,30 +182,23 @@ def test_zz_report(benchmark):
         if lines:
             lines.append("")
         lines.append(
-            "=== E4: sweep vs. worklist scaling "
+            "=== E4: worklist scaling "
             "(constProp+deadAssignElim over 4 procedures) ==="
         )
         lines.append(
-            f"{'size':>5s} {'sweep_s':>9s} {'worklist_s':>11s} {'speedup':>8s} "
-            f"{'sweeps':>7s} {'pops':>7s} {'sweep_keeps':>12s} "
+            f"{'size':>5s} {'worklist_s':>11s} {'pops':>7s} "
             f"{'wl_keeps':>9s} {'hit_rate':>9s}"
         )
-        for size, ref_s, wl_s, sweeps, pops, ref_keeps, wl_keeps, rate in _SCALING:
-            speedup = ref_s / wl_s if wl_s else float("inf")
+        for size, wl_s, pops, wl_keeps, rate in _SCALING:
             lines.append(
-                f"{size:5d} {ref_s:9.4f} {wl_s:11.4f} {speedup:7.1f}x "
-                f"{sweeps:7d} {pops:7d} {ref_keeps:12d} {wl_keeps:9d} "
-                f"{rate:8.1%}"
+                f"{size:5d} {wl_s:11.4f} {pops:7d} {wl_keeps:9d} {rate:8.1%}"
             )
             rows.append(
                 {
                     "table": "scaling",
                     "size": size,
-                    "sweep_s": round(ref_s, 4),
                     "worklist_s": round(wl_s, 4),
-                    "sweeps": sweeps,
                     "pops": pops,
-                    "sweep_keeps": ref_keeps,
                     "worklist_keeps": wl_keeps,
                     "keeps_hit_rate": round(rate, 4),
                 }

@@ -28,20 +28,6 @@ from repro.opts import ALL_OPTIMIZATIONS, taintedness_analysis
 
 _RESULTS = {}
 _WARM = {}
-_RACE = {}
-_KERNEL_RACE = {}
-
-#: Rows raced reference-vs-incremental (mode) and reference-vs-flat
-#: (kernel) — the ones with enough search for the comparison to mean
-#: anything; folding rules finish in milliseconds.
-_RACE_ROWS = [
-    "cse",
-    "loadElim",
-    "deadAssignElim",
-    "partialDaeSink",
-    "preDuplicate",
-    "licmDuplicate",
-]
 
 
 @pytest.fixture(scope="module")
@@ -100,82 +86,6 @@ def test_yy_warm_replay(benchmark, cache_dir):
     assert warm.cache.stats.misses == 0, "warm replay missed the cache"
 
 
-def _mode_fingerprint(report):
-    ctxs = tuple(
-        (r.obligation, r.proved, tuple(r.context)) for r in report.results
-    )
-    for dep in report.dependencies:
-        ctxs += tuple(
-            (r.obligation, r.proved, tuple(r.context)) for r in dep.results
-        )
-    return report.canonical(), ctxs
-
-
-@pytest.mark.parametrize("name", _RACE_ROWS)
-def test_xx_mode_race(benchmark, name):
-    """Reference vs incremental on the same row, no cache: the verdicts
-    (status tree + counterexample contexts) must be byte-identical and the
-    incremental mode must evaluate strictly fewer ground literals."""
-    opt = {o.name: o for o in ALL_OPTIMIZATIONS}[name]
-    out = {}
-
-    def race():
-        for mode in ("reference", "incremental"):
-            checker = SoundnessChecker(
-                config=ProverConfig(timeout_s=120, mode=mode)
-            )
-            start = time.monotonic()
-            report = checker.check_optimization(opt)
-            elapsed = time.monotonic() - start
-            stats = report.prover_stats()
-            out[mode] = (_mode_fingerprint(report), stats.lit_evals, elapsed)
-
-    benchmark.pedantic(race, rounds=1, iterations=1)
-    ref, inc = out["reference"], out["incremental"]
-    assert ref[0] == inc[0], f"{name}: modes returned different reports"
-    assert inc[1] < ref[1], (
-        f"{name}: incremental evaluated {inc[1]} literals, "
-        f"reference {ref[1]} — not strictly fewer"
-    )
-    _RACE[name] = (ref[1], inc[1], ref[2], inc[2])
-
-
-@pytest.mark.parametrize("name", _RACE_ROWS)
-def test_xx_kernel_race(benchmark, name):
-    """Reference vs flat e-graph kernel on the same row, no cache: the
-    reports must be byte-identical, the search counters must coincide, and
-    the flat kernel must perform strictly fewer Python-level structural
-    visits (docs/KERNELS.md)."""
-    opt = {o.name: o for o in ALL_OPTIMIZATIONS}[name]
-    out = {}
-
-    def race():
-        for kernel in ("reference", "flat"):
-            checker = SoundnessChecker(
-                config=ProverConfig(timeout_s=120, kernel=kernel)
-            )
-            start = time.monotonic()
-            report = checker.check_optimization(opt)
-            elapsed = time.monotonic() - start
-            stats = report.prover_stats()
-            out[kernel] = (
-                _mode_fingerprint(report),
-                stats.search_fingerprint(),
-                stats.struct_visits,
-                elapsed,
-            )
-
-    benchmark.pedantic(race, rounds=1, iterations=1)
-    ref, flat = out["reference"], out["flat"]
-    assert ref[0] == flat[0], f"{name}: kernels returned different reports"
-    assert ref[1] == flat[1], f"{name}: kernels' search counters diverged"
-    assert flat[2] < ref[2], (
-        f"{name}: flat visited {flat[2]} structures, reference {ref[2]} — "
-        f"not strictly fewer"
-    )
-    _KERNEL_RACE[name] = (ref[2], flat[2], ref[3], flat[3])
-
-
 def test_zz_report(benchmark):
     """Emits the E1 table (runs last; name-ordered after the rows)."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
@@ -198,36 +108,6 @@ def test_zz_report(benchmark):
             f"warm replay total {sum(_WARM.values()):.3f}s "
             f"(vs. {sum(times):.2f}s cold)"
         )
-    if _RACE:
-        lines.append("")
-        lines.append("=== reference vs incremental prover (identical verdicts) ===")
-        lines.append(
-            f"{'optimization':24s} {'ref lit-evals':>13s} {'inc lit-evals':>13s} "
-            f"{'ref':>7s} {'inc':>7s}"
-        )
-        for name, (ref_le, inc_le, ref_s, inc_s) in sorted(_RACE.items()):
-            lines.append(
-                f"{name:24s} {ref_le:13,d} {inc_le:13,d} "
-                f"{ref_s:6.2f}s {inc_s:6.2f}s"
-            )
-    if _KERNEL_RACE:
-        lines.append("")
-        lines.append(
-            "=== reference vs flat e-graph kernel (identical verdicts and "
-            "search counters) ==="
-        )
-        lines.append(
-            f"{'optimization':24s} {'ref visits':>12s} {'flat visits':>12s} "
-            f"{'ref':>7s} {'flat':>7s} {'speedup':>8s}"
-        )
-        for name, (ref_sv, flat_sv, ref_s, flat_s) in sorted(
-            _KERNEL_RACE.items()
-        ):
-            speedup = ref_s / flat_s if flat_s > 0 else float("inf")
-            lines.append(
-                f"{name:24s} {ref_sv:12,d} {flat_sv:12,d} "
-                f"{ref_s:6.2f}s {flat_s:6.2f}s {speedup:7.2f}x"
-            )
     lines.append("paper (Simplify, 2003 workstation): range 3s .. 104s, average 28s")
 
     from repro.prover.kernels import kernel_identity
@@ -243,32 +123,10 @@ def test_zz_report(benchmark):
             }
             for name, seconds in sorted(_RESULTS.items())
         ],
-        "mode_race": [
-            {
-                "name": name,
-                "ref_lit_evals": ref_le,
-                "inc_lit_evals": inc_le,
-                "ref_s": round(ref_s, 4),
-                "inc_s": round(inc_s, 4),
-            }
-            for name, (ref_le, inc_le, ref_s, inc_s) in sorted(_RACE.items())
-        ],
-        "kernel_race": [
-            {
-                "name": name,
-                "ref_struct_visits": ref_sv,
-                "flat_struct_visits": flat_sv,
-                "ref_s": round(ref_s, 4),
-                "flat_s": round(flat_s, 4),
-            }
-            for name, (ref_sv, flat_sv, ref_s, flat_s) in sorted(
-                _KERNEL_RACE.items()
-            )
-        ],
     }
     config = {
         "timeout_s": 120,
-        "default_kernel": kernel_identity("flat"),
+        "default_kernel": kernel_identity(),
         "cold_rows_cached": True,
     }
     emit("E1_proof_times", "\n".join(lines), rows=rows, config=config)

@@ -10,15 +10,14 @@ import pytest
 from repro.logic.formulas import Eq, Forall, Implies, Not, Or, Pred
 from repro.logic.terms import App, IntConst, LVar, mk
 from repro.prover import Prover, ProverConfig
-from repro.prover.egraph import EGraph
-from repro.prover.ematch import ematch
+from repro.prover.kernels.flat import FlatEGraph, compiled_trigger, flat_ematch
 
 
 def test_egraph_merge_chain(benchmark):
     terms = [App(f"c{i}") for i in range(300)]
 
     def run():
-        e = EGraph()
+        e = FlatEGraph()
         for t1, t2 in zip(terms, terms[1:]):
             e.assert_eq(t1, t2)
         assert e.are_equal(terms[0], terms[-1])
@@ -29,7 +28,7 @@ def test_egraph_merge_chain(benchmark):
 def test_egraph_congruence_cascade(benchmark):
     # Merging the leaves must collapse a tower of applications.
     def run():
-        e = EGraph()
+        e = FlatEGraph()
         a, b = App("a"), App("b")
         ta, tb = a, b
         for _ in range(60):
@@ -46,7 +45,7 @@ def test_egraph_push_pop(benchmark):
     a, b = App("a"), App("b")
 
     def run():
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", a))
         e.add_term(mk("f", b))
         for _ in range(200):
@@ -58,13 +57,13 @@ def test_egraph_push_pop(benchmark):
 
 
 def test_ematch_throughput(benchmark):
-    e = EGraph()
+    e = FlatEGraph()
     x = LVar("x")
     for i in range(150):
         e.add_term(mk("f", App(f"c{i}")))
 
     def run():
-        return len(ematch(e, (mk("f", x),)))
+        return len(flat_ematch(e, compiled_trigger((mk("f", x),))))
 
     assert benchmark(run) == 150
 

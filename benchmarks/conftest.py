@@ -23,9 +23,3 @@ def checker():
 @pytest.fixture(scope="session")
 def engine():
     return CobaltEngine(standard_registry())
-
-
-@pytest.fixture(scope="session")
-def reference_engine():
-    """The retained naive-sweep solver (the E4 'before' column)."""
-    return CobaltEngine(standard_registry(), mode="reference")

@@ -11,7 +11,7 @@ kernel module is compiled to a C extension, and ``repro --version``
 reports ``flat/compiled``.  Every failure mode — no toolchain, no C
 compiler, a codegen or build error — falls back to the pure-Python
 module without failing the installation: the two are byte-identical in
-behavior (tests/test_kernels.py), so compilation is never load-bearing.
+behavior (tests/test_goldens.py), so compilation is never load-bearing.
 
 Set ``REPRO_NO_COMPILE=1`` to skip the attempt entirely.
 """

@@ -1,11 +1,11 @@
 """The stable public façade: options objects and top-level entry points.
 
 The configuration surface had accreted kwarg-by-kwarg —
-``SoundnessChecker(cache=, jobs=, obligation_timeout_s=)``,
-``ProverConfig.mode``, a CLI flag per axis.  This module consolidates it
+``SoundnessChecker(cache=, jobs=, obligation_timeout_s=)``, a CLI flag
+per axis.  This module consolidates it
 into three frozen options dataclasses and three functions:
 
-* :class:`ProverOptions` — the proof-search knobs (mode, limits);
+* :class:`ProverOptions` — the proof-search limits;
 * :class:`VerifyOptions` — how obligations are discharged (backend,
   external solver, parallelism, caching);
 * :class:`EngineOptions` — how optimizations are executed;
@@ -57,13 +57,6 @@ __all__ = [
 class ProverOptions:
     """Search configuration for the internal prover (docs/PROVER.md)."""
 
-    #: ``"incremental"`` (mod-times E-matching + watched clauses) or
-    #: ``"reference"`` (the executable specification).
-    mode: str = "incremental"
-    #: e-graph substrate: ``"flat"`` (struct-of-arrays integer kernel) or
-    #: ``"reference"`` (the ``_Node``-object implementation); byte-identical
-    #: results either way (docs/KERNELS.md).
-    kernel: str = "flat"
     #: cooperative wall-clock limit per prover call
     timeout_s: float = 300.0
     max_rounds: int = 12
@@ -76,15 +69,11 @@ class ProverOptions:
             max_instances=self.max_instances,
             max_decisions=self.max_decisions,
             timeout_s=self.timeout_s,
-            mode=self.mode,
-            kernel=self.kernel,
         )
 
     @classmethod
     def from_config(cls, config: ProverConfig) -> "ProverOptions":
         return cls(
-            mode=getattr(config, "mode", "incremental") or "incremental",
-            kernel=getattr(config, "kernel", "flat") or "flat",
             timeout_s=config.timeout_s,
             max_rounds=config.max_rounds,
             max_instances=config.max_instances,
@@ -189,8 +178,6 @@ class VerifyOptions:
 class EngineOptions:
     """How the Cobalt engine executes optimizations (docs/ENGINE.md)."""
 
-    #: ``"worklist"`` (memoized priority worklist) or ``"reference"``
-    mode: str = "worklist"
     #: re-run each pattern on its own output until it stops firing
     iterate: bool = False
     #: collect :class:`repro.cobalt.engine.EngineStats` counters
@@ -437,7 +424,7 @@ def run_optimization(
 
     if isinstance(program, str):
         program = parse_program(program)
-    cobalt_engine = CobaltEngine(standard_registry(), mode=engine.mode)
+    cobalt_engine = CobaltEngine(standard_registry())
     out = program
     for proc in program.procs:
         transformed, applied = cobalt_engine.run_optimization(item, proc)

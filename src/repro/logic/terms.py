@@ -328,7 +328,7 @@ def match(pattern: Term, target: Term, binding: Optional[Dict[str, Term]] = None
     """Syntactic one-way matching: find ``theta`` with ``pattern theta == target``.
 
     Purely syntactic (used in unit tests and a few non-E-graph contexts);
-    the prover's E-matching lives in :mod:`repro.prover.ematch`.
+    the prover's E-matching is :func:`repro.prover.kernels.flat.flat_ematch`.
     """
     binding = dict(binding or {})
     stack = [(pattern, target)]

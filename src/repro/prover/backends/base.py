@@ -57,7 +57,7 @@ class ProverBackend(Protocol):
 
     def identity(self) -> str:
         """The cache identity: family plus anything that can change verdicts
-        (prover mode, solver command, solver version).  Proof-cache entries
+        (solver command, solver version).  Proof-cache entries
         produced by external solvers replay only under the same identity
         (:mod:`repro.verify.cache`)."""
         ...

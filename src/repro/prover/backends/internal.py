@@ -6,6 +6,11 @@ from typing import Optional
 
 from repro.prover.core import Prover, ProverConfig
 
+#: The internal backend's identity.  ``unknown`` verdicts in the proof
+#: cache replay only under the identity that stored them, so this string
+#: must stay byte-stable for existing cache directories to keep replaying.
+INTERNAL_IDENTITY = "internal;mode=incremental"
+
 
 class InternalBackend:
     """Discharge obligations with the built-in Simplify-style prover.
@@ -30,8 +35,7 @@ class InternalBackend:
         return self._prover
 
     def identity(self) -> str:
-        mode = getattr(self.config, "mode", "incremental") or "incremental"
-        return f"internal;mode={mode}"
+        return INTERNAL_IDENTITY
 
     def discharge(self, owner, obligation, cancel=None):
         from repro.verify.checker import discharge_obligation

@@ -21,18 +21,13 @@ consistent branch remains, the prover answers ``UNKNOWN`` and reports the
 branch's asserted literals — the *counterexample context*, just as Simplify
 does (section 7 of the paper).
 
-Two interchangeable inner loops implement the search
-(``ProverConfig.mode``, see docs/PROVER.md):
-
-* ``"incremental"`` (default) — Simplify's mod-times restrict each
-  instantiation round's E-matching to structure created or merged since the
-  previous round, and ground-clause propagation is driven by watched class
-  roots: a clause is re-evaluated only when an E-graph event touches a
-  class one of its undetermined atoms mentions.
-* ``"reference"`` — the executable specification: full re-match every
-  round, full rescan every propagation pass.  Kept byte-for-byte compatible
-  with the incremental mode (same verdicts, same counterexample contexts)
-  and cross-checked against it by the test suite.
+The search is incremental (docs/PROVER.md): Simplify's mod-times restrict
+each instantiation round's E-matching to structure created or merged since
+the previous round, and ground-clause propagation is driven by watched
+class roots — a clause is re-evaluated only when an E-graph event touches a
+class one of its undetermined atoms mentions.  What it answers — verdicts,
+counterexample contexts, round-by-round instances, search counters — is
+pinned by ``tests/golden/prover_search.txt``.
 """
 
 from __future__ import annotations
@@ -55,18 +50,16 @@ from repro.logic.formulas import (
     clausify,
 )
 from repro.logic.terms import App, Term
-from repro.prover.egraph import EGraph, EGraphConflict, FALSE, TRUE
-from repro.prover.ematch import (
+from repro.prover.kernels import kernel_identity
+from repro.prover.kernels.flat import (
+    FALSE,
+    TRUE,
+    EGraphConflict,
+    FlatEGraph,
     MatchTimeout,
-    ematch,
-    select_triggers,
-)
-from repro.prover.kernels import (
-    KERNEL_NAMES,
     compiled_trigger,
     flat_ematch,
-    kernel_identity,
-    make_egraph,
+    select_triggers,
 )
 
 
@@ -88,20 +81,9 @@ class ProverConfig:
     #: deliberate case-split seeds (the Cobalt checker's kind-exhaustiveness
     #: instances) — the analogue of Simplify's case-split ordering.
     split_priority: Optional[object] = None
-    #: Inner-loop selection: ``"incremental"`` (mod-times E-matching +
-    #: watched ground clauses) or ``"reference"`` (full re-match and full
-    #: rescan; the executable specification the incremental mode is
-    #: cross-checked against).  Both produce identical results.
-    mode: str = "incremental"
-    #: E-graph substrate: ``"flat"`` (struct-of-arrays integer kernel,
-    #: optionally compiled — see docs/KERNELS.md) or ``"reference"`` (the
-    #: ``_Node``-object implementation).  Byte-identical results either
-    #: way; the choice is deliberately excluded from the proof-cache
-    #: fingerprint and backend identity.
-    kernel: str = "flat"
     #: Debug/test hook: record the canonical keys of the instances admitted
-    #: by each instantiation round (``Result``-independent; used by the
-    #: round-by-round mode-equivalence tests).
+    #: by each instantiation round (``Result.round_instances``; digested by
+    #: the proof-search golden).
     record_round_instances: bool = False
 
 
@@ -168,12 +150,7 @@ class RoundStats:
 
 @dataclass
 class ProverStats:
-    """Observability counters for one ``prove`` call (``Result.stats``).
-
-    The ``lit_evals`` / ``clause_evals`` counters are what the benchmark
-    race compares across modes: the incremental prover must answer every
-    query the reference answers while evaluating strictly fewer literals.
-    """
+    """Observability counters for one ``prove`` call (``Result.stats``)."""
 
     decisions: int = 0
     propagations: int = 0
@@ -198,9 +175,8 @@ class ProverStats:
     free_vars_hits: int = 0  # cached free-variable set reads
     pipeline_hits: int = 0  # memoized nnf/skolemize/clausify calls
     pipeline_misses: int = 0
-    #: Kernel identity ("flat/pure-python", "flat/compiled",
-    #: "reference/object-graph") and its structural-visit count — the
-    #: object-graph touches the benchmark race compares across kernels.
+    #: Kernel build ("flat/pure-python" or "flat/compiled") and its
+    #: structural-visit count (``Term`` objects walked while interning).
     kernel: str = ""
     struct_visits: int = 0
     #: Per-round yields, capped at 1000 entries.  Not merged by ``merge``.
@@ -248,8 +224,8 @@ class ProverStats:
     def search_fingerprint(self) -> Tuple[int, ...]:
         """The search-shape counters, excluding timing, interning, and
         kernel identity.  Two provers that explored the same search tree —
-        whatever kernel ran underneath — produce equal fingerprints; the
-        kernel byte-identity tests compare these across kernels."""
+        whichever kernel build ran underneath — produce equal fingerprints;
+        the proof-search golden pins them per obligation."""
         return (
             self.decisions,
             self.propagations,
@@ -315,8 +291,7 @@ class Result:
     context: List[str] = field(default_factory=list)
     stats: ProverStats = field(default_factory=ProverStats)
     #: Per-round admitted instances (printed-form keys), populated only
-    #: under ``ProverConfig.record_round_instances`` — the hook the
-    #: round-by-round mode-equivalence tests compare across modes.
+    #: under ``ProverConfig.record_round_instances``.
     round_instances: Optional[List[List[Tuple]]] = None
 
     @property
@@ -412,21 +387,11 @@ class _Search:
 
     def __init__(self, clauses: Sequence[Clause], constructors: frozenset, cfg: ProverConfig) -> None:
         self.cfg = cfg
-        mode = getattr(cfg, "mode", "incremental") or "incremental"
-        if mode not in ("incremental", "reference"):
-            raise ValueError(f"unknown prover mode {mode!r}")
-        self.watched = mode == "incremental"
-        kernel = getattr(cfg, "kernel", "flat") or "flat"
-        if kernel not in KERNEL_NAMES:
-            raise ValueError(f"unknown prover kernel {kernel!r}")
-        self.kernel = kernel
-        self.flat = kernel == "flat"
-        self.egraph = make_egraph(kernel, constructors)
+        self.egraph = FlatEGraph(constructors)
         self._true_node = self.egraph.term_to_node[TRUE]
         self.ground: List[Clause] = []
         #: ``(clause, triggers, programs)`` per quantified clause; the
-        #: programs list holds the flat kernel's lazily compiled triggers
-        #: (empty on the reference kernel, which interprets pattern terms).
+        #: programs list holds the lazily compiled triggers.
         self.quantified: List[
             Tuple[Clause, Tuple[Tuple[Term, ...], ...], List]
         ] = []
@@ -483,7 +448,7 @@ class _Search:
         self.round_instances: Optional[List[List[Tuple]]] = (
             [] if cfg.record_round_instances else None
         )
-        # Watched-clause propagation state (incremental mode).  ``evals``
+        # Watched-clause propagation state.  ``evals``
         # caches each open clause's last evaluation; ``dirty`` holds the
         # clauses whose cache is stale; ``watchers`` maps a class root to the
         # clauses watching it.  ``eval_scopes`` holds one undo journal per
@@ -541,10 +506,10 @@ class _Search:
             if len(_TRIGGER_CACHE) >= 65536:
                 _TRIGGER_CACHE.clear()
             _TRIGGER_CACHE[id(clause)] = (clause, triggers)
-        # Flat-kernel trigger programs, compiled lazily on first match (an
-        # obligation refuted propositionally never pays for them); ``None``
-        # slots are filled in ``_instantiate``.
-        programs: List = [None] * len(triggers) if self.flat else []
+        # Trigger programs, compiled lazily on first match (an obligation
+        # refuted propositionally never pays for them); ``None`` slots are
+        # filled in ``_instantiate``.
+        programs: List = [None] * len(triggers)
         self.quantified.append((clause, triggers, programs))
         self.deferred.append({})
         self._inst_memo.append({})
@@ -613,7 +578,7 @@ class _Search:
         self.stats.elapsed_s = time.monotonic() - start
         delta = intern.STATS.delta(mark)
         st = self.stats
-        st.kernel = kernel_identity(self.kernel)
+        st.kernel = kernel_identity()
         st.struct_visits = self.egraph.struct_visits
         st.intern_table = intern.table_size()
         st.intern_hits += delta["term_hits"] + delta["formula_hits"]
@@ -684,13 +649,6 @@ class _Search:
             self._lit_info[id(lit)] = info
         return info
 
-    def _lit_is_kind(self, lit: Literal) -> bool:
-        """Cached :func:`_is_kind_literal` (hot in both scan loops)."""
-        info = self._lit_info.get(id(lit))
-        if info is not None and info[0] is lit:
-            return info[3]
-        return _is_kind_literal(lit)
-
     def _lit_value(self, lit: Literal) -> Optional[bool]:
         return self._eval_literal(lit)[0]
 
@@ -717,64 +675,62 @@ class _Search:
     def _push_level(self) -> None:
         self.egraph.push()
         self.sat_scopes.append([])
-        if self.watched:
-            self.eval_scopes.append([])
-            self.event_marks.append(len(self.egraph.events))
+        self.eval_scopes.append([])
+        self.event_marks.append(len(self.egraph.events))
 
     def _pop_level(self) -> None:
         self.egraph.pop()
         unsatted = self.sat_scopes.pop()
         for index in unsatted:
             self.sat[index] = False
-        if self.watched:
-            # Play the level's journal backwards: the E-graph pop restored
-            # the exact pre-push state, so the pre-push evaluation caches,
-            # watcher registrations, and dirty set are restored with it —
-            # the sibling branch re-evaluates only the clauses its own
-            # merges actually wake.  Events logged inside the level are
-            # dropped; their wakes are part of the journal.
-            dirty = self.dirty
-            evals = self.evals
-            watchers = self.watchers
-            split_pushed = self.split_pushed
-            split_heap = self.split_heap
-            for op in reversed(self.eval_scopes.pop()):
-                tag = op[0]
-                if tag == 0:
-                    dirty.discard(op[1])
-                elif tag == 1:
-                    dirty.add(op[1])
-                elif tag == 2:
-                    index = op[1]
-                    prev = op[2]
-                    evals[index] = prev
-                    if prev is not None:
-                        # Heap invariant: a clause's current cached
-                        # evaluation always has a live heap entry.
-                        entry = (-prev[2], prev[0])
-                        if split_pushed[index] != entry:
-                            heapq.heappush(
-                                split_heap, (-prev[2], prev[0], index)
-                            )
-                            split_pushed[index] = entry
-                elif tag == 3:
-                    watchers[op[1]].discard(op[2])
-                else:
-                    watchers[op[1]] = op[2]
-            # A clause whose sat mark was just cleared kept its pre-sat
-            # cache, but the split selection may have discarded its heap
-            # entry while it was satisfied: re-establish the invariant.
-            for index in unsatted:
-                ev = evals[index]
-                if ev is not None:
-                    entry = (-ev[2], ev[0])
+        # Play the level's journal backwards: the E-graph pop restored
+        # the exact pre-push state, so the pre-push evaluation caches,
+        # watcher registrations, and dirty set are restored with it —
+        # the sibling branch re-evaluates only the clauses its own
+        # merges actually wake.  Events logged inside the level are
+        # dropped; their wakes are part of the journal.
+        dirty = self.dirty
+        evals = self.evals
+        watchers = self.watchers
+        split_pushed = self.split_pushed
+        split_heap = self.split_heap
+        for op in reversed(self.eval_scopes.pop()):
+            tag = op[0]
+            if tag == 0:
+                dirty.discard(op[1])
+            elif tag == 1:
+                dirty.add(op[1])
+            elif tag == 2:
+                index = op[1]
+                prev = op[2]
+                evals[index] = prev
+                if prev is not None:
+                    # Heap invariant: a clause's current cached
+                    # evaluation always has a live heap entry.
+                    entry = (-prev[2], prev[0])
                     if split_pushed[index] != entry:
-                        heapq.heappush(split_heap, (-ev[2], ev[0], index))
+                        heapq.heappush(
+                            split_heap, (-prev[2], prev[0], index)
+                        )
                         split_pushed[index] = entry
-            mark = self.event_marks.pop()
-            del self.egraph.events[mark:]
-            if self.event_cursor > mark:
-                self.event_cursor = mark
+            elif tag == 3:
+                watchers[op[1]].discard(op[2])
+            else:
+                watchers[op[1]] = op[2]
+        # A clause whose sat mark was just cleared kept its pre-sat
+        # cache, but the split selection may have discarded its heap
+        # entry while it was satisfied: re-establish the invariant.
+        for index in unsatted:
+            ev = evals[index]
+            if ev is not None:
+                entry = (-ev[2], ev[0])
+                if split_pushed[index] != entry:
+                    heapq.heappush(split_heap, (-ev[2], ev[0], index))
+                    split_pushed[index] = entry
+        mark = self.event_marks.pop()
+        del self.egraph.events[mark:]
+        if self.event_cursor > mark:
+            self.event_cursor = mark
 
     def _dpll(self, depth: int) -> bool:
         """True when the current branch is refuted."""
@@ -784,10 +740,7 @@ class _Search:
             raise _Timeout()
         rounds = 0
         while True:
-            if self.watched:
-                outcome, split = self._scan_watched()
-            else:
-                outcome, split = self._scan_reference()
+            outcome, split = self._scan_watched()
             if outcome == "conflict":
                 return True
             if outcome == "progress":
@@ -801,79 +754,12 @@ class _Search:
                 self.saturated_context = list(self.assertion_log)
                 return False
 
-    # -- propagation: reference (full rescan) ---------------------------------
-
-    def _scan_reference(self) -> Tuple[str, Optional[Tuple[Literal, Clause, int]]]:
-        """One pass over the unsatisfied ground clauses: detect conflicts,
-        assert units, and remember the best split candidate."""
-        self.stats.scan_passes += 1
-        progress = False
-        priority_fn = self.cfg.split_priority or default_split_priority
-        best: Optional[Tuple[Literal, Clause, int]] = None
-        best_score: Tuple[int, int] = (-(1 << 30), -(1 << 30))
-        evaluated = 0
-        for index in range(len(self.ground)):
-            if self.sat[index]:
-                continue
-            evaluated += 1
-            if (evaluated & 127) == 0 and time.monotonic() > self.deadline:
-                raise _Timeout()
-            clause = self.ground[index]
-            self.stats.clause_evals += 1
-            width = 0
-            candidate: Optional[Literal] = None
-            satisfied = False
-            has_undetermined_kind = False
-            for lit in clause.literals:
-                try:
-                    value = self._lit_value(lit)
-                except EGraphConflict:
-                    return "conflict", None
-                if value is True:
-                    satisfied = True
-                    break
-                if value is None:
-                    width += 1
-                    if self._lit_is_kind(lit):
-                        has_undetermined_kind = True
-                    if candidate is None:
-                        candidate = lit
-            if satisfied:
-                self._mark_sat(index)
-                continue
-            if width == 0:
-                return "conflict", None
-            if width == 1 and candidate is not None:
-                self.stats.propagations += 1
-                if not self._assert_literal(candidate, f"unit from {clause.origin or clause}"):
-                    return "conflict", None
-                self._mark_sat(index)
-                progress = True
-                continue
-            if candidate is not None:
-                if "seed" in clause.origin:
-                    clause_priority = 2
-                elif "nosplit" in clause.origin:
-                    clause_priority = -1
-                elif has_undetermined_kind:
-                    # A conditional-semantics instance whose term's kind is
-                    # unknown: splitting it only spawns phantom structure.
-                    clause_priority = -1
-                else:
-                    clause_priority = priority_fn(candidate, clause)
-                score = (clause_priority, -width)
-                if score > best_score:
-                    best, best_score = (candidate, clause, clause_priority), score
-        if progress:
-            return "progress", None
-        return "stable", best
-
-    # -- propagation: incremental (watched class roots) -----------------------
+    # -- propagation: watched class roots ---------------------------------------
 
     def _drain_events(self, pos: int, heap: Optional[List[int]]) -> None:
         """Wake the clauses watching any class root touched since the last
         drain.  Wakes at an index still ahead of the scan position join the
-        current pass (the reference scan would reach them with the updated
+        current pass (an in-order sweep would reach them with the updated
         state); wakes at or behind it stay dirty for the next pass."""
         eg = self.egraph
         events = eg.events
@@ -901,11 +787,12 @@ class _Search:
         self.event_cursor = cursor
 
     def _scan_watched(self) -> Tuple[str, Optional[Tuple[Literal, Clause, int]]]:
-        """The watched-clause counterpart of :meth:`_scan_reference`.
+        """One propagation pass over the unsatisfied ground clauses: detect
+        conflicts, assert units, and pick the best split candidate.
 
         Only clauses in the dirty set are (re-)evaluated, in ascending index
-        order — the same order the reference scan visits them — so units are
-        asserted in the same sequence and the split choice is byte-identical.
+        order — the order a full in-order sweep would visit them — so units
+        are asserted in that sequence and the split choice is the sweep's.
         The stable-case split selection reads the cached evaluations of all
         open clauses without touching the E-graph."""
         stats = self.stats
@@ -1018,8 +905,8 @@ class _Search:
                 continue
             # Open clause: cache the evaluation and watch every class a
             # still-undetermined literal depends on.  Watching all of them
-            # (not just two) keeps the cache exact, which the byte-identity
-            # guarantee with the reference scan requires.
+            # (not just two) keeps the cache exact: the split choice must
+            # equal a full in-order sweep's.
             if "seed" in clause.origin:
                 clause_priority = 2
             elif "nosplit" in clause.origin:
@@ -1055,8 +942,8 @@ class _Search:
         if progress:
             return "progress", None
         # Stable: the split is the maximal (priority, -width) with the
-        # lowest index — exactly what the reference scan's in-order strict
-        # improvement sweep selects.  Stale and satisfied heap tops are
+        # lowest index — exactly what an in-order strict-improvement sweep
+        # selects.  Stale and satisfied heap tops are
         # discarded; the entry pushed for a clause's *current* evaluation is
         # always still in the heap, so the surviving top is the true best.
         while split_heap:
@@ -1110,18 +997,17 @@ class _Search:
     def _instantiate(self) -> bool:
         """One E-matching round; True if any new ground clause appeared.
 
-        In incremental mode only structure stamped since the last *completed*
-        round is matched (Simplify's mod-times); the per-clause carry-over of
-        guard-deferred instances makes the union of "newly matched" and
-        "carried" equal to the reference mode's full re-enumeration minus
-        what is already known.  Candidates are admitted in binding-signature
-        order so both modes grow the ground clause list — and hence the rest
-        of the search — identically."""
+        Only structure stamped since the last *completed* round is matched
+        (Simplify's mod-times); the per-clause carry-over of guard-deferred
+        instances makes the union of "newly matched" and "carried" equal to
+        a full re-enumeration minus what is already known.  Candidates are
+        admitted in binding-signature order, independent of the order the
+        matcher enumerates bindings in."""
         stats = self.stats
         cfg = self.cfg
         eg = self.egraph
         representative = eg.representative
-        since = self.match_stamp if self.watched else 0
+        since = self.match_stamp
         round_gen = eg.bump_generation()
         round_no = stats.rounds
         t0 = time.perf_counter()
@@ -1142,17 +1028,12 @@ class _Search:
             fresh: Dict[Tuple, Tuple[Tuple, Tuple, Clause]] = {}
             for ti, trigger in enumerate(triggers):
                 try:
-                    if self.flat:
-                        prog = programs[ti]
-                        if prog is None:
-                            prog = programs[ti] = compiled_trigger(trigger)
-                        bindings = flat_ematch(
-                            eg, prog, since=since, deadline=self.deadline
-                        )
-                    else:
-                        bindings = ematch(
-                            eg, trigger, since=since, deadline=self.deadline
-                        )
+                    prog = programs[ti]
+                    if prog is None:
+                        prog = programs[ti] = compiled_trigger(trigger)
+                    bindings = flat_ematch(
+                        eg, prog, since=since, deadline=self.deadline
+                    )
                 except MatchTimeout:
                     raise _Timeout()
                 except EGraphConflict:
@@ -1176,10 +1057,8 @@ class _Search:
                     # the E-graph (substitution and keying are pure term
                     # work), so they need no re-canonicalization here.
                     # The admission order must not depend on the binding
-                    # enumeration order (which differs between modes), so
-                    # each candidate carries its binding signature — the
-                    # bound class roots, which both modes compute against
-                    # identical E-graph states.
+                    # enumeration order, so each candidate carries its
+                    # binding signature — the bound class roots.
                     sig = tuple(binding[v] for v in var_order)
                     reps = tuple(representative(node) for node in sig)
                     entry = memo.get(reps)
@@ -1205,9 +1084,7 @@ class _Search:
             if not fresh and not carried:
                 continue
             # Admit oldest structure first: sort by binding signature (class
-            # roots), tie-broken by the printed form.  This tracks the
-            # reference enumeration's old-nodes-first bias while being
-            # identical in both modes.
+            # roots), tie-broken by the printed form.
             candidates = list(carried.items())
             candidates.extend(fresh.items())
             candidates.sort(key=lambda kv: (kv[1][0], kv[1][1]))
@@ -1250,11 +1127,10 @@ class _Search:
         stats.match_s += elapsed
         stats.bindings += bindings_n
         stats.dedup_hits += dedup_n
-        if self.watched:
-            # The round completed: everything stamped before ``round_gen``
-            # has now been matched.  (Aborted rounds — conflict, budget,
-            # timeout — leave the stamp alone and simply re-match.)
-            self.match_stamp = round_gen
+        # The round completed: everything stamped before ``round_gen`` has
+        # now been matched.  (Aborted rounds — conflict, budget, timeout —
+        # leave the stamp alone and simply re-match.)
+        self.match_stamp = round_gen
         if self.round_instances is not None:
             self.round_instances.append(sorted(recorded))
         if len(stats.round_log) < 1000:
@@ -1272,10 +1148,10 @@ def _render_key(clause: Clause) -> Tuple:
     multi-pattern — and carried-over signatures can collide with fresh ones
     after merges) and as the label for round-by-round instance recording.
 
-    The printed form is load-bearing for cross-mode byte-identity (both
-    modes must admit colliding instances in the same order, and the
-    recorded logs are compared verbatim), so it cannot become an id tuple;
-    but atoms are interned, so each ``str`` is computed once per atom
+    The printed form is load-bearing for determinism (colliding instances
+    must be admitted in an order independent of atom numbering, and the
+    recorded logs are digested verbatim by the proof-search golden), so it
+    cannot become an id tuple; but atoms are interned, so each ``str`` is computed once per atom
     object ever and answered from the node's cached render thereafter —
     every other dedup/ordering path runs on interned atom ids
     (``_clause_key``)."""

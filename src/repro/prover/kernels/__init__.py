@@ -1,28 +1,15 @@
-"""Kernel selection for the prover's e-graph substrate (docs/KERNELS.md).
+"""The prover's e-graph substrate (docs/KERNELS.md).
 
-Two kernels implement the identical congruence-closure/E-matching
-algorithm:
-
-* ``"reference"`` — the original ``_Node``-object implementation in
-  :mod:`repro.prover.egraph` / :mod:`repro.prover.ematch`.  It is the
-  executable specification: readable, debuggable, and the baseline every
-  cross-check compares against.
-* ``"flat"`` — :mod:`repro.prover.kernels.flat`, struct-of-arrays storage
-  where e-nodes are integer ids.  Byte-identical to the reference
-  suite-wide (tests/test_kernels.py) but with flat-array hot loops, and
-  optionally compiled to a C extension via ``pip install repro[compiled]``.
-
-The two kernels never change verdicts, contexts, logs, or search counters
-— only speed — so the choice is excluded from the proof-cache fingerprint
-and backend identity on purpose: cache entries replay across a kernel
-switch (tests/test_kernels.py pins this).
+:mod:`repro.prover.kernels.flat` is the congruence-closure/E-matching
+kernel: struct-of-arrays storage where e-nodes are integer ids, optionally
+compiled to a C extension via ``pip install repro[compiled]``.  The
+compiled and pure-Python builds run the identical algorithm, so the build
+never changes verdicts, contexts, logs, or search counters — only speed —
+and is excluded from the proof-cache fingerprint and backend identity.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-from repro.prover.egraph import EGraph
 from repro.prover.kernels import flat as _flat
 from repro.prover.kernels.flat import (
     FlatEGraph,
@@ -30,27 +17,12 @@ from repro.prover.kernels.flat import (
     compile_trigger,
     compiled_trigger,
     flat_ematch,
+    select_triggers,
 )
-
-#: Recognized values for ``ProverConfig.kernel`` / ``--kernel``.
-KERNEL_NAMES = ("flat", "reference")
-
-DEFAULT_KERNEL = "flat"
-
-
-def make_egraph(kernel: str, constructors: Optional[Iterable[str]] = None):
-    """Instantiate the e-graph for the named kernel."""
-    if kernel == "flat":
-        return FlatEGraph(constructors)
-    if kernel == "reference":
-        return EGraph(constructors)
-    raise ValueError(
-        f"unknown kernel {kernel!r} (expected one of {KERNEL_NAMES})"
-    )
 
 
 def flat_is_compiled() -> bool:
-    """True when the flat kernel module is a compiled extension.
+    """True when the kernel module is a compiled extension.
 
     mypyc and Cython both install the compiled module as a ``.so``/``.pyd``
     that shadows the pure-Python source; checking the loaded module's file
@@ -63,25 +35,18 @@ def flat_is_compiled() -> bool:
     return bool(getattr(_flat, "__mypyc_attrs__", None))
 
 
-def kernel_identity(kernel: str) -> str:
-    """Human-readable kernel identity for --version / --prover-stats."""
-    if kernel == "reference":
-        return "reference/object-graph"
-    if kernel == "flat":
-        return "flat/compiled" if flat_is_compiled() else "flat/pure-python"
-    return f"{kernel}/unknown"
+def kernel_identity() -> str:
+    """Human-readable kernel build for --version / --prover-stats."""
+    return "flat/compiled" if flat_is_compiled() else "flat/pure-python"
 
 
 __all__ = [
-    "KERNEL_NAMES",
-    "DEFAULT_KERNEL",
-    "EGraph",
     "FlatEGraph",
     "FlatProgram",
     "compile_trigger",
     "compiled_trigger",
     "flat_ematch",
-    "make_egraph",
+    "select_triggers",
     "flat_is_compiled",
     "kernel_identity",
 ]

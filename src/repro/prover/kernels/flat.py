@@ -1,10 +1,11 @@
-"""The flat e-graph kernel: congruence closure and E-matching over
+"""The e-graph kernel: congruence closure and E-matching over
 struct-of-arrays integer storage (docs/KERNELS.md).
 
-This module is the performance twin of :mod:`repro.prover.egraph` /
-:mod:`repro.prover.ematch`.  It implements the *same algorithm* — the same
-merge order, the same event log, the same union-by-rank tie-breaks, the
-same theory checks with the same conflict messages — but every e-node is a
+The e-graph maintains equivalence classes of ground terms under asserted
+equalities, closed under congruence, and detects conflicts with asserted
+disequalities, free constructors (distinct constructors never meet, equal
+constructor applications have equal arguments) and numerals (distinct
+literals differ; arithmetic on known numerals folds).  Every e-node is a
 plain integer id into parallel flat lists:
 
 * ``parent`` / ``rank`` — the union-find forest, with iterative full path
@@ -18,44 +19,57 @@ plain integer id into parallel flat lists:
 * ``int_has`` / ``int_val`` / ``ctor`` — per-root theory annotations
   (numeral value, witnessing constructor node);
 * ``node_mod`` — Simplify-style generation stamps for incremental
-  E-matching;
+  E-matching: a merge touches, transitively, every application node whose
+  descent can now match further, so matching only nodes stamped since the
+  previous round finds exactly the new bindings;
 * ``uses`` / ``diseq`` — per-id use-lists and disequality adjacency;
+* ``events`` — an append-only log of class roots whose class changed,
+  which the prover's watched ground clauses consume;
 * a flat **integer trail**: undo records are operand ints pushed onto one
   list followed by an opcode, popped in reverse on ``pop``.  Only records
   that must restore an object (a class representative term, a signature
   key) park it in a side list.
 
-Because the algorithm is identical, a search running on this kernel is
-byte-identical to one running on the reference kernel — same verdicts,
-same counterexample contexts, same round-instance logs, same search
-counters — which ``tests/test_kernels.py`` asserts suite-wide.  What
-changes is constant factors: the hot loops (``find``, congruence
-propagation, candidate enumeration, member iteration) touch int lists
-instead of ``_Node`` dataclasses, ``Term`` objects, and per-root dicts.
 The module is written in the mypyc/Cython-compatible subset (plain
 classes, no generators or closures in hot paths) so ``pip install
 repro[compiled]`` can compile it to a C extension; the search is
-byte-identical either way (docs/KERNELS.md).
+byte-identical either way (docs/KERNELS.md, ``tests/golden/``).
 
 E-matching compiles each trigger into a small instruction program
 (:class:`FlatProgram`, built by :func:`compile_trigger`) executed by a
 recursive abstract machine (:func:`flat_ematch`) — one TOP instruction per
 pattern term iterating candidate nodes by head-symbol row, VAR/INT/APP
-instructions walking argument spans and member cycles.  The enumeration
-visits exactly the reference matcher's search space and deduplicates with
-the same canonical (variable, class-root) key, so the returned binding
-set — and hence everything downstream — is identical.
+instructions walking argument spans and member cycles.  Bindings are
+deduplicated by their canonical (variable, class-root) key.  Quantified
+clauses without user triggers get them from :func:`select_triggers`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.logic.terms import App, IntConst, LVar, Term, term_size, term_str
+from repro.logic.terms import App, IntConst, LVar, Term, free_vars, term_size, term_str
 from repro.prover.arith import ARITH_FNS, eval_arith
-from repro.prover.egraph import EGraphConflict, FALSE, TRUE
-from repro.prover.ematch import _DEADLINE_STRIDE, MatchTimeout
+
+TRUE = App("@true")
+FALSE = App("@false")
+
+
+class EGraphConflict(Exception):
+    """Raised internally when an assertion contradicts the current state."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+class MatchTimeout(Exception):
+    """Raised when a match call exceeds the caller-supplied deadline."""
+
+
+#: How many top-level candidate nodes to examine between deadline checks.
+_DEADLINE_STRIDE = 64
 
 # Trail opcodes.  Undo records are pushed operands-first, opcode last, onto
 # one flat int list; ``pop`` reads the opcode and consumes the operands in
@@ -75,8 +89,8 @@ _OP_PARENT = 11  # [x, old]                   undo one path-compression write
 
 
 class FlatEGraph:
-    """Struct-of-arrays congruence closure, behaviorally identical to
-    :class:`repro.prover.egraph.EGraph` (the executable reference)."""
+    """A backtrackable congruence-closure engine over struct-of-arrays
+    storage."""
 
     def __init__(self, constructors=None) -> None:
         self.constructors = frozenset(constructors or ())
@@ -119,10 +133,9 @@ class FlatEGraph:
         self.generation: int = 0
         self.events: List[int] = []
         #: Python-level structural visits: object-graph touches in the hot
-        #: paths.  The flat kernel only ever walks ``Term`` objects while
+        #: paths.  The kernel only ever walks ``Term`` objects while
         #: interning; matching and merging run over int arrays and count
-        #: nothing (docs/KERNELS.md, compared against the reference kernel
-        #: by the benchmark race).
+        #: nothing (docs/KERNELS.md).
         self.struct_visits: int = 0
         t = self.add_term(TRUE)
         f = self.add_term(FALSE)
@@ -238,8 +251,8 @@ class FlatEGraph:
         return self.generation
 
     def _touch_parents(self, root: int) -> None:
-        """Stamp, transitively, the parents of ``root``'s class (the flat
-        twin of the reference kernel's mod-time propagation)."""
+        """Stamp, transitively, the parents of ``root``'s class (Simplify's
+        mod-time propagation)."""
         g = self.generation
         node_mod = self.node_mod
         trail = self.trail
@@ -364,8 +377,7 @@ class FlatEGraph:
             self._theory_premerge(rx, ry, pending, why)
             if self.rank[rx] < self.rank[ry]:
                 rx, ry = ry, rx
-            # ry is absorbed into rx.  Wake policy (mirrors the reference
-            # kernel exactly): a watched pair's relation can only change
+            # ry is absorbed into rx.  Wake policy: a watched pair's relation can only change
             # through the absorbed class (log ry), or against the
             # surviving class when it gains a theory annotation or a
             # disequality from the absorbed one (log rx then) — inherited
@@ -674,7 +686,7 @@ _EMPTY_ROWS: List[int] = []
 
 class FlatProgram:
     """A compiled (multi-)pattern: parallel instruction arrays plus the
-    variable-slot metadata needed to rebuild reference-shaped bindings.
+    variable-slot metadata needed to rebuild name-keyed bindings.
 
     Head symbols are stored as *names* (``fn_names``; TOP/APP ``f0`` is an
     index into it), so one compiled program serves every e-graph: triggers
@@ -745,8 +757,8 @@ def compile_trigger(eg, patterns) -> FlatProgram:
     slots: Dict[str, int] = {}
     for index, pattern in enumerate(patterns):
         if isinstance(pattern, LVar):
-            # Mirrors the reference matcher's rejection of bare-variable
-            # triggers (they would match every class).
+            # A bare-variable trigger would match every class
+            # (select_triggers never produces one).
             raise ValueError("bare variable used as a trigger pattern")
         if isinstance(pattern, IntConst):
             prog.ops.append(_M_TOP_INT)
@@ -821,6 +833,62 @@ def _compile_args(
             prog.f3.append(child_reg)
             prog.f4.append(len(child.args))
             _compile_args(prog, child, child_reg, slots)
+
+
+def select_triggers(
+    literal_terms: Sequence[Term], variables: Sequence[str]
+) -> Tuple[Tuple[Term, ...], ...]:
+    """Choose triggers for a quantified clause with no user-provided ones.
+
+    Strategy (mirroring Simplify's automatic trigger selection):
+
+    1. prefer a single application term that contains every bound variable
+       and is not itself a variable (smallest such term wins);
+    2. otherwise, build one multi-pattern greedily from application terms,
+       adding the term that covers the most uncovered variables.
+    """
+    needed = set(variables)
+    candidates: List[Term] = []
+    for t in literal_terms:
+        for sub in _app_subterms(t):
+            if free_vars(sub) & needed:
+                candidates.append(sub)
+    # Single-term triggers first.
+    full = [c for c in candidates if free_vars(c) >= needed]
+    if full:
+        best = min(full, key=_trigger_order)
+        return ((best,),)
+    # Greedy multi-pattern.
+    covered: set = set()
+    multi: List[Term] = []
+    while covered < needed:
+        best = None
+        best_gain = 0
+        for c in candidates:
+            gain = len((free_vars(c) & needed) - covered)
+            if gain > best_gain or (
+                gain == best_gain and gain > 0 and best is not None and _trigger_order(c) < _trigger_order(best)
+            ):
+                best, best_gain = c, gain
+        if best is None or best_gain == 0:
+            return ()  # cannot cover all variables; clause is uninstantiable
+        multi.append(best)
+        covered |= free_vars(best) & needed
+    return (tuple(multi),)
+
+
+def _trigger_order(t: Term) -> Tuple[int, int, str]:
+    # All three components are cached on the interned node (size, free-var
+    # set, printed form) — trigger selection is comparison-only.
+    return (term_size(t), len(free_vars(t)), term_str(t))
+
+
+def _app_subterms(t: Term) -> Iterator[Term]:
+    if isinstance(t, App):
+        if t.args:
+            yield t
+        for a in t.args:
+            yield from _app_subterms(a)
 
 
 class _MatchRun:
@@ -990,10 +1058,9 @@ class _MatchRun:
                     fid = fids[f0[pc]]
                     rows = eg.fn_rows[fid]
                     if since > 0 and f1[pc] == restricted:
-                        # The incremental pass: mod-stamp filter first
-                        # (the reference builds the filtered candidate
-                        # list up front); the per-fn watermark proves the
-                        # filtered list empty without building it.
+                        # The incremental pass: mod-stamp filter first;
+                        # the per-fn watermark proves the filtered list
+                        # empty without building it.
                         if eg.fn_maxmod[fid] < since:
                             rows = _EMPTY_ROWS
                         else:
@@ -1156,9 +1223,15 @@ def flat_ematch(
     since: int = 0,
     deadline: Optional[float] = None,
 ) -> List[Dict[str, int]]:
-    """All bindings of the compiled trigger against the e-graph — the same
-    set :func:`repro.prover.ematch.ematch` enumerates on the reference
-    kernel, deduplicated by the same canonical (variable, root) key."""
+    """All bindings of the compiled trigger against the e-graph,
+    deduplicated by the canonical (variable, class-root) key.
+
+    With ``since > 0`` only bindings involving structure stamped at
+    generation ``since`` or later are produced: one pass per pattern term,
+    restricting that term's top-level candidates to stamped nodes, because
+    a new binding need only be new in one component.  ``deadline`` (a
+    ``time.monotonic`` value) bounds the enumeration; exceeding it raises
+    :class:`MatchTimeout`."""
     if since > 0:
         # Quiescence pre-check: each restricted pass starts at its
         # restricted pattern's head row, and the per-fn watermark proves

@@ -290,8 +290,6 @@ def prover_options_to_wire(options) -> Dict[str, Any]:
     return envelope(
         "prover-options",
         {
-            "mode": options.mode,
-            "kernel": options.kernel,
             "timeout_s": options.timeout_s,
             "max_rounds": options.max_rounds,
             "max_instances": options.max_instances,
@@ -306,8 +304,6 @@ def prover_options_from_wire(data: Any):
     data = decode_envelope(data, "prover-options")
     defaults = ProverOptions()
     return ProverOptions(
-        mode=str(data.get("mode", defaults.mode)),
-        kernel=str(data.get("kernel", defaults.kernel)),
         timeout_s=float(data.get("timeout_s", defaults.timeout_s)),
         max_rounds=int(data.get("max_rounds", defaults.max_rounds)),
         max_instances=int(data.get("max_instances", defaults.max_instances)),
@@ -387,7 +383,6 @@ def engine_options_to_wire(options) -> Dict[str, Any]:
     return envelope(
         "engine-options",
         {
-            "mode": options.mode,
             "iterate": options.iterate,
             "collect_stats": options.collect_stats,
         },
@@ -400,7 +395,6 @@ def engine_options_from_wire(data: Any):
     data = decode_envelope(data, "engine-options")
     defaults = EngineOptions()
     return EngineOptions(
-        mode=str(data.get("mode", defaults.mode)),
         iterate=bool(data.get("iterate", defaults.iterate)),
         collect_stats=bool(data.get("collect_stats", defaults.collect_stats)),
     )

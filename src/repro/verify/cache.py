@@ -21,7 +21,9 @@ Two subtleties:
 The store behind the verdicts is tiered (docs/CACHING.md):
 
 * **L0** — a per-process in-memory map.  Every lookup lands here first;
-  pool workers keep their own (:mod:`repro.verify.parallel`).
+  pool workers keep their own (:mod:`repro.verify.parallel`).  It is
+  bounded (:data:`L0_LIMIT`): past the limit, entries with nothing pending
+  are dropped — they re-read from L1, or re-prove without one.
 * **L1** — a sharded on-disk CAS (:mod:`repro.verify.cas`), the only
   on-disk format: ``objects/<key[:2]>/<key>.json``, one atomically-written
   file per verdict, so concurrent runs sharing a ``--cache-dir`` compose
@@ -359,6 +361,12 @@ class CachedVerdict:
 #: what the CLI would ever print.
 _MAX_CONTEXT_LINES = 60
 
+#: Bound on the L0 map and on the set of keys already asked of L2.  A
+#: long-running daemon sees novel jobs forever; when either grows past this,
+#: L0 keeps only entries still pending an L1 write or L2 publication and
+#: the asked-keys set is forgotten (at worst one repeated L2 round trip).
+L0_LIMIT = 1 << 16
+
 
 @dataclass
 class CacheStats:
@@ -491,8 +499,27 @@ class ProofCache:
                 except (KeyError, TypeError, ValueError):
                     entry = None
                 if entry is not None:
+                    self._make_room()
                     self._entries[key] = entry
         return entry
+
+    def _make_room(self) -> None:
+        """Keep L0 and the asked-of-L2 set under :data:`L0_LIMIT` (caller
+        holds the instance lock).  Only clean entries are dropped — nothing
+        pending in ``_dirty``/``_fetched``/``_unpublished`` is lost.  The
+        test counts pending keys generously, so a trim always frees at least
+        ``L0_LIMIT`` entries and its cost amortizes to O(1) per insert."""
+        pending_n = len(self._dirty) + len(self._fetched) + len(self._unpublished)
+        if (
+            len(self._entries) - pending_n < L0_LIMIT
+            and len(self._remote_seen) < L0_LIMIT
+        ):
+            return
+        pending = self._dirty | self._fetched | self._unpublished
+        self._entries = {
+            key: entry for key, entry in self._entries.items() if key in pending
+        }
+        self._remote_seen.clear()
 
     def prefetch(self, keys: Sequence[str]) -> int:
         """Warm L0 with every resolvable key; one batched L2 multi-GET.
@@ -522,6 +549,7 @@ class ProofCache:
                 asked = sorted(set(self._prefetch_missing(missing)))
                 if not asked:
                     return 0
+                self._make_room()
                 self._remote_seen.update(asked)
             try:
                 fetched = remote.multi_get(asked)
@@ -536,6 +564,7 @@ class ProofCache:
                         entry = CachedVerdict.from_json(raw)
                     except Exception:
                         continue  # a corrupt L2 entry is a miss, never an error
+                    self._make_room()
                     self._entries[key] = entry
                     self._fetched.add(key)  # read-through: persist on save
                     pulled += 1
@@ -587,6 +616,7 @@ class ProofCache:
                 # Identical verdict already stored: re-writing it would churn
                 # bytes for no information.
                 return
+            self._make_room()
             self._entries[key] = entry
             self._dirty.add(key)
             self._fetched.discard(key)

@@ -66,12 +66,12 @@ class TestOptions:
         assert VerifyOptions(solver_cmd=["z3"]).solver_cmd == ("z3",)
 
     def test_prover_options_round_trip_config(self):
-        config = ProverConfig(timeout_s=7.0, max_rounds=3, mode="reference")
+        config = ProverConfig(timeout_s=7.0, max_rounds=3, max_decisions=9)
         options = ProverOptions.from_config(config)
         back = options.to_config()
         assert back.timeout_s == 7.0
         assert back.max_rounds == 3
-        assert back.mode == "reference"
+        assert back.max_decisions == 9
 
     def test_top_level_imports(self):
         import repro

@@ -158,14 +158,16 @@ class TestOptCommand:
         assert "worklist pops" in captured.err
         assert "hit rate" in captured.err
 
-    def test_reference_engine_same_output(self, program_file, capsys):
-        assert main(["opt", program_file, "--passes", "constProp",
-                     "--trust"]) == 0
-        worklist_out = capsys.readouterr().out
-        assert main(["opt", program_file, "--passes", "constProp", "--trust",
-                     "--engine", "reference"]) == 0
-        reference_out = capsys.readouterr().out
-        assert worklist_out == reference_out
+    def test_engine_flag_is_gone(self, program_file, capsys):
+        """The reference sweep was retired; its selector is an argparse
+        error (exit 2), not silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["opt", program_file, "--passes", "constProp", "--trust",
+                  "--engine", "reference"])
+        assert exc.value.code == 2
+        # argparse reads ``--engine`` as an abbreviation of
+        # ``--engine-stats``, which takes no value.
+        assert "unrecognized arguments: reference" in capsys.readouterr().err
 
     def test_pipeline(self, program_file, capsys):
         code = main(
@@ -274,6 +276,22 @@ class TestRetiredProverFlag:
         with pytest.raises(SystemExit):
             main(["--prover", "incremental", "suite"])
         assert "--prover-mode" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kernel", "reference", "verify"],
+            ["--prover-mode", "reference", "verify"],
+        ],
+        ids=["kernel", "prover-mode"],
+    )
+    def test_twin_selectors_are_gone(self, argv, capsys):
+        """The reference kernel and search mode were retired; selecting
+        them is an argparse error (exit 2)."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "repro-cobalt: error:" in capsys.readouterr().err
 
 
 class TestServeSubcommand:

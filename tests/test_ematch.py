@@ -1,10 +1,24 @@
-"""Unit tests for E-matching and automatic trigger selection."""
+"""Unit tests for E-matching (compiled trigger programs on the flat
+e-graph kernel) and automatic trigger selection."""
 
 import pytest
 
 from repro.logic.terms import App, IntConst, LVar, mk
-from repro.prover.egraph import EGraph
-from repro.prover.ematch import binding_to_terms, ematch, select_triggers
+from repro.prover.kernels.flat import (
+    FlatEGraph,
+    compile_trigger,
+    flat_ematch,
+    select_triggers,
+)
+
+
+def ematch(e, patterns):
+    return flat_ematch(e, compile_trigger(e, tuple(patterns)))
+
+
+def binding_to_terms(e, binding):
+    return {v: e.representative(root) for v, root in binding.items()}
+
 
 a, b, c = App("a"), App("b"), App("c")
 x, y = LVar("x"), LVar("y")
@@ -12,14 +26,14 @@ x, y = LVar("x"), LVar("y")
 
 class TestBasicMatching:
     def test_single_match(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", a))
         bindings = ematch(e, (mk("f", x),))
         assert len(bindings) == 1
         assert binding_to_terms(e, bindings[0]) == {"x": a}
 
     def test_multiple_matches(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", a))
         e.add_term(mk("f", b))
         bindings = ematch(e, (mk("f", x),))
@@ -27,30 +41,30 @@ class TestBasicMatching:
         assert terms == {a, b}
 
     def test_no_match(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("g", a))
         assert ematch(e, (mk("f", x),)) == []
 
     def test_nested_pattern(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", mk("g", a)))
         bindings = ematch(e, (mk("f", mk("g", x)),))
         assert binding_to_terms(e, bindings[0]) == {"x": a}
 
     def test_nested_pattern_rejects_wrong_inner_head(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", mk("h", a)))
         assert ematch(e, (mk("f", mk("g", x)),)) == []
 
     def test_nonlinear_pattern(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", a, a))
         e.add_term(mk("f", a, b))
         bindings = ematch(e, (mk("f", x, x),))
         assert len(bindings) == 1
 
     def test_int_const_pattern(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", IntConst(3)))
         e.add_term(mk("f", IntConst(4)))
         bindings = ematch(e, (mk("f", IntConst(3), ),))
@@ -59,7 +73,7 @@ class TestBasicMatching:
 
 class TestMatchingModuloCongruence:
     def test_match_through_merged_class(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", a))
         e.assert_eq(a, b)
         # Pattern f(g(x)) should match because a's class contains g(c)
@@ -69,14 +83,14 @@ class TestMatchingModuloCongruence:
         assert binding_to_terms(e, bindings[0])["x"] == c
 
     def test_nonlinear_respects_classes(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", a, b))
         assert ematch(e, (mk("f", x, x),)) == []
         e.assert_eq(a, b)
         assert len(ematch(e, (mk("f", x, x),))) == 1
 
     def test_bindings_deduplicated_by_class(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", a))
         e.add_term(mk("f", b))
         e.assert_eq(a, b)
@@ -86,7 +100,7 @@ class TestMatchingModuloCongruence:
 
 class TestMultiPatterns:
     def test_joint_binding(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", a))
         e.add_term(mk("g", a))
         e.add_term(mk("g", b))
@@ -95,7 +109,7 @@ class TestMultiPatterns:
         assert binding_to_terms(e, bindings[0])["x"] == a
 
     def test_independent_variables(self):
-        e = EGraph()
+        e = FlatEGraph()
         e.add_term(mk("f", a))
         e.add_term(mk("g", b))
         bindings = ematch(e, (mk("f", x), mk("g", y)))
@@ -104,7 +118,7 @@ class TestMultiPatterns:
         assert terms == {"x": a, "y": b}
 
     def test_cross_product(self):
-        e = EGraph()
+        e = FlatEGraph()
         for t in (a, b):
             e.add_term(mk("f", t))
             e.add_term(mk("g", t))
@@ -114,7 +128,7 @@ class TestMultiPatterns:
 
 class TestRepresentatives:
     def test_small_representative_chosen(self):
-        e = EGraph()
+        e = FlatEGraph()
         big = mk("f", mk("g", mk("h", a)))
         e.assert_eq(big, b)
         bindings = ematch(e, (mk("k", x),))
@@ -143,6 +157,6 @@ class TestTriggerSelection:
         assert triggers == ()
 
     def test_bare_variable_not_a_trigger(self):
-        e = EGraph()
+        e = FlatEGraph()
         with pytest.raises(ValueError):
             ematch(e, (x,))

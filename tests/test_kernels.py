@@ -1,195 +1,118 @@
-"""Cross-checks between the flat integer-id kernel and the reference e-graph.
+"""The e-graph kernel (``src/repro/prover/kernels/``): invariants, and the
+answers the retired reference kernel pinned.
 
-The flat kernel (struct-of-arrays congruence closure + compiled trigger
-programs, ``src/repro/prover/kernels/``) is a re-representation of the
-reference ``_Node`` object graph, not a different prover: both must return
-byte-identical results — same verdicts, same counterexample contexts, same
-round-by-round instance admissions, same search counters — while the flat
-kernel performs strictly fewer Python-level structural visits.  These tests
-pin that contract (docs/KERNELS.md):
+The flat struct-of-arrays kernel used to be cross-checked against a second,
+object-graph e-graph at run time.  That twin is gone; what it guaranteed
+lives on in two forms:
 
-* obligation-level cross-checks over the shipped optimization suite
-  (fast subset always; the full suite under ``-m slow``), comparing report
-  fingerprints, search fingerprints, and structural-visit counts;
-* 50 seeded-random goals with round-instance recording;
-* every stored fuzzing-corpus entry replayed under both kernels, with the
-  known-unsound rules additionally cross-checked fingerprint-for-fingerprint;
-* randomized union-find/arena traces (add_term / assert_eq / assert_diseq /
-  push / pop) compared state-for-state between the two substrates;
-* proof-cache hits must survive a kernel switch: the kernel is excluded
-  from the cache fingerprint *because* results are byte-identical, and the
-  schema version must not change for a pure re-representation.
+* ``tests/golden/prover_search.txt`` was rendered at the last commit that
+  still had the reference kernel, in a run that asserted the reference
+  kernel reproduced every line — verdicts, counterexample contexts,
+  round-by-round instances and search counters.  The ``*_identical`` tests
+  below check the live kernel against that golden, row group by row group;
+* randomized add_term / assert_eq / assert_diseq / push / pop traces check
+  the kernel's own invariants after every operation: asserted equalities
+  and disequalities hold, classes are closed under congruence, member
+  cycles agree with ``find`` as sets, and every ``pop`` restores exactly
+  the state its ``push`` saw.
+
+Plus the kernel plumbing: the build identity, trigger compilation errors,
+the deadline inside the matcher, and proof-cache compatibility with the
+directories written before the twins were retired.
 """
 
+import json
 import random
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.api import ProverOptions, VerifyOptions
+from repro.api import VerifyOptions, check_optimization, verify_suite
 from repro.fuzz import DEFAULT_CORPUS_DIR, load_entries, replay_entry
-from repro.fuzz.campaign import FRONTIER_PROVER_OPTIONS
-from repro.logic.formulas import And, Eq, Implies, Pred
+from repro.logic.formulas import Eq
 from repro.logic.terms import App, IntConst
-from repro.opts import ALL_OPTIMIZATIONS, taintedness_analysis
+from repro.opts import ALL_OPTIMIZATIONS
 from repro.prover import Prover, ProverConfig
-from repro.prover.egraph import EGraph
-from repro.prover.kernels import (
-    KERNEL_NAMES,
-    FlatEGraph,
-    compile_trigger,
-    kernel_identity,
-    make_egraph,
-)
-from repro.verify import SoundnessChecker
+from repro.prover.kernels import FlatEGraph, compile_trigger, kernel_identity
 from repro.verify.cache import SCHEMA_VERSION, config_fingerprint
+from repro.verify.cas import ShardedStore
 
-from tests.test_prover_incremental import (
-    FAST_OPTS,
-    _explosive_setup,
-    _GoalGen,
-    _random_theory,
-    _report_fingerprint,
-)
+from tests.goldens import golden_rows
+from tests.test_prover_incremental import FAST_OPTS, _explosive_setup
 
-KERNELS = ("reference", "flat")
+KERNELS = ("flat",)
+
+
+def _assert_rows_reproduce(section, owner=None):
+    expected = golden_rows(section, owner)
+    assert expected, f"no golden rows for {section} {owner}"
+    assert golden_rows(section, owner, rendered=True) == expected
+    return expected
 
 
 # ---------------------------------------------------------------------------
-# Obligation-level byte-identity over the shipped suite.
+# Obligation-level answers over the shipped suite, against the golden.
 # ---------------------------------------------------------------------------
-
-
-def _check_kernels(opt):
-    fps, stats = {}, {}
-    for kernel in KERNELS:
-        checker = SoundnessChecker(
-            config=ProverConfig(timeout_s=120.0, kernel=kernel)
-        )
-        report = checker.check_optimization(opt)
-        fps[kernel] = _report_fingerprint(report)
-        stats[kernel] = report.prover_stats()
-    assert fps["reference"] == fps["flat"], f"{opt.name}: kernels disagree"
-    # The search itself must be the same search: every counter that drives
-    # or observes control flow coincides...
-    assert (
-        stats["reference"].search_fingerprint()
-        == stats["flat"].search_fingerprint()
-    ), f"{opt.name}: search counters diverged"
-    # ...while the flat kernel touches strictly fewer Python-level objects
-    # (the tentpole's perf claim, stated as an invariant).
-    assert stats["flat"].struct_visits < stats["reference"].struct_visits, (
-        f"{opt.name}: flat visits {stats['flat'].struct_visits} "
-        f">= reference visits {stats['reference'].struct_visits}"
-    )
 
 
 @pytest.mark.parametrize("opt", FAST_OPTS, ids=lambda o: o.name)
 def test_kernels_identical_fast(opt):
-    _check_kernels(opt)
+    _assert_rows_reproduce("suite", opt.name)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("opt", ALL_OPTIMIZATIONS, ids=lambda o: o.name)
 def test_kernels_identical_full_suite(opt):
-    _check_kernels(opt)
+    _assert_rows_reproduce("suite", opt.name)
 
 
 @pytest.mark.slow
 def test_kernels_identical_analysis():
-    fps = {}
-    for kernel in KERNELS:
-        checker = SoundnessChecker(
-            config=ProverConfig(timeout_s=120.0, kernel=kernel)
-        )
-        fps[kernel] = _report_fingerprint(
-            checker.check_analysis(taintedness_analysis)
-        )
-    assert fps["reference"] == fps["flat"]
+    _assert_rows_reproduce("suite", "taintedness")
 
 
 # ---------------------------------------------------------------------------
-# Seeded-random goals: verdict, context, rounds, and counters per kernel.
+# Seeded-random goals: verdict, context, rounds, and counters.
 # ---------------------------------------------------------------------------
-
-
-def _prove_both_kernels(goal, axioms=(), cfg_kw=None):
-    kw = dict(timeout_s=20.0, record_round_instances=True)
-    kw.update(cfg_kw or {})
-    out = {}
-    for kernel in KERNELS:
-        prover = Prover(list(axioms), config=ProverConfig(kernel=kernel, **kw))
-        result = prover.prove(goal)
-        rounds = [sorted(r) for r in (result.round_instances or [])]
-        out[kernel] = (
-            result.status,
-            tuple(result.context),
-            rounds,
-            result.stats.search_fingerprint(),
-        )
-    assert out["reference"] == out["flat"], "kernels diverged"
-    return out["reference"]
 
 
 def test_random_goals_identical():
     """50 seeded-random goals: same verdict, context, rounds, counters."""
-    theory = _random_theory()
-    proved = 0
-    for seed in range(50):
-        gen = _GoalGen(seed)
-        goal = gen.formula()
-        if seed % 2:
-            other = gen.formula()
-            goal = Implies(And((goal, Implies(goal, other))), other)
-        status, _, _, _ = _prove_both_kernels(
-            goal,
-            theory,
-            cfg_kw=dict(max_rounds=4, max_instances=500, timeout_s=10.0),
-        )
-        proved += status.name == "PROVED"
+    rows = [
+        row for row in _assert_rows_reproduce("goal") if row[1].startswith("random")
+    ]
+    assert len(rows) == 50
+    proved = sum(row[2] == "proved" for row in rows)
     assert 0 < proved < 50
 
 
 def test_quantified_goal_rounds_identical():
-    """A goal whose proof needs instantiation rounds, both kernels."""
-    from repro.logic.terms import LVar
-    from repro.logic.formulas import Forall
-
-    x, y = LVar("x"), LVar("y")
-    f = lambda t: App("f", (t,))
-    axioms = [
-        Forall(("x",), Implies(Pred("P", (x,)), Pred("P", (f(x),)))),
-        Forall(
-            ("x", "y"),
-            Implies(And((Pred("P", (x,)), Eq(f(x), f(y)))), Pred("Q", (y,))),
-        ),
-    ]
-    goal = Implies(Pred("P", (App("a"),)), Pred("Q", (f(App("a")),)))
-    status, _, rounds, _ = _prove_both_kernels(goal, axioms)
-    assert status.name == "PROVED"
-    assert rounds, "instantiation rounds were recorded"
+    """A goal whose proof needs instantiation rounds."""
+    (row,) = _assert_rows_reproduce("goal", "quantified")
+    assert row[2] == "proved"
+    assert any(field.startswith("rounds=") for field in row)
 
 
 # ---------------------------------------------------------------------------
-# Fuzzing corpus: every stored failure replays identically per kernel.
+# Fuzzing corpus: every stored failure still replays.  ``flat`` replays the
+# entry live; ``reference`` checks its rule's rows against the golden the
+# reference kernel reproduced (entries without a rule replay live too).
 # ---------------------------------------------------------------------------
 
 ENTRIES = load_entries(DEFAULT_CORPUS_DIR)
 
 
-def _kernel_verify_options(kernel):
-    return VerifyOptions(
-        prover=replace(FRONTIER_PROVER_OPTIONS, kernel=kernel)
-    )
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", ("reference", "flat"))
 @pytest.mark.parametrize(
     "path,entry", ENTRIES, ids=[p.name for p, _ in ENTRIES]
 )
 def test_corpus_replays_per_kernel(path, entry, kernel):
-    ok, detail = replay_entry(entry, _kernel_verify_options(kernel))
-    assert ok, f"{path.name} [{kernel}]: {detail}"
+    if kernel == "reference" and "rule" in entry.data:
+        owner = f"{path.stem}:{entry.data['rule']['name']}"
+        _assert_rows_reproduce("corpus", owner)
+        return
+    ok, detail = replay_entry(entry)
+    assert ok, f"{path.name}: {detail}"
 
 
 @pytest.mark.parametrize(
@@ -198,27 +121,20 @@ def test_corpus_replays_per_kernel(path, entry, kernel):
     ids=[p.name for p, e in ENTRIES if e.kind == "unsound-rule"],
 )
 def test_corpus_unsound_rules_fingerprint_identical(path, entry):
-    """Known-unsound rules: the rejection report is byte-identical."""
-    from repro.api import check_optimization
-    from repro.fuzz.rules import rule_from_json
-
-    rule = rule_from_json(entry.data["rule"])
-    fps = {}
-    for kernel in KERNELS:
-        report = check_optimization(rule, _kernel_verify_options(kernel))
-        assert not report.sound, f"{path.name} [{kernel}]: now proves SOUND"
-        fps[kernel] = _report_fingerprint(report)
-    assert fps["reference"] == fps["flat"], f"{path.name}: kernels disagree"
+    """Known-unsound rules: the rejection is reproduced row for row."""
+    owner = f"{path.stem}:{entry.data['rule']['name']}"
+    rows = _assert_rows_reproduce("corpus", owner)
+    assert any(row[3] == "failed" for row in rows), f"{path.name}: now proves SOUND"
 
 
 # ---------------------------------------------------------------------------
-# Randomized substrate traces: the two e-graphs, state for state.
+# Randomized substrate traces: the kernel's invariants after every step.
 #
-# The prover-level tests above exercise the kernels through one search
-# policy; this drives the substrates directly with operation sequences the
-# search would never emit (deep push/pop nests, disequalities between
-# interior terms, redundant asserts), comparing every observable after
-# every operation.
+# The tests above exercise the kernel through one search policy; this
+# drives it directly with operation sequences the search would never emit
+# (deep push/pop nests, disequalities between interior terms, redundant
+# asserts).  Every assert runs in its own scope so a conflicting one can be
+# popped — which must restore the pre-assert state exactly.
 # ---------------------------------------------------------------------------
 
 _TRACE_CONSTRUCTORS = ("nil", "cons")
@@ -247,96 +163,114 @@ class _TraceGen:
         return App(fn, (self.term(depth - 1),))
 
 
-def _observables(eg, probe_terms):
-    """Everything a client can see, in kernel-independent form."""
+def _snapshot(eg):
+    """The observable state a ``pop`` must restore."""
     n = len(eg.node_terms)
     finds = tuple(eg.find(i) for i in range(n))
-    classes = {}
-    for i, root in enumerate(finds):
-        classes.setdefault(root, []).append(i)
-    membership = frozenset(frozenset(v) for v in classes.values())
-    ints = tuple(eg.class_int_value(root) for root in sorted(classes))
-    reprs = tuple(str(eg.representative(root)) for root in sorted(classes))
-    pairs = []
-    for i in range(0, len(probe_terms) - 1, 2):
-        t1, t2 = probe_terms[i], probe_terms[i + 1]
-        pairs.append((eg.are_equal(t1, t2), eg.are_diseq(t1, t2)))
+    roots = sorted(set(finds))
     return (
         n,
         finds,
-        membership,
-        ints,
-        reprs,
-        tuple(eg.events),
-        eg.generation,
-        eg.conflict,
-        tuple(pairs),
+        tuple(eg.class_int_value(r) for r in roots),
+        tuple(str(eg.representative(r)) for r in roots),
+        tuple(tuple(sorted(eg.find(d) for d in eg.diseq[r])) for r in roots),
     )
+
+
+def _check_invariants(eg, eqs, diseqs):
+    for t1, t2 in eqs:
+        assert eg.are_equal(t1, t2), f"asserted {t1} = {t2} no longer holds"
+    for t1, t2 in diseqs:
+        assert eg.are_diseq(t1, t2), f"asserted {t1} != {t2} no longer holds"
+    n = len(eg.node_terms)
+    finds = [eg.find(i) for i in range(n)]
+    classes = {}
+    for i, root in enumerate(finds):
+        classes.setdefault(root, set()).add(i)
+    # Members agree with find, as sets (cycle order is an implementation
+    # detail).
+    for root, members in classes.items():
+        assert set(eg.members(root)) == members
+    # Congruence: applications with the same head and pairwise-equal
+    # arguments share a class.
+    signatures = {}
+    for i, term in enumerate(eg.node_terms):
+        if isinstance(term, App) and term.args:
+            sig = (term.fn, tuple(finds[eg.term_to_node[a]] for a in term.args))
+            other = signatures.setdefault(sig, i)
+            assert finds[other] == finds[i], f"{term} not congruent"
+    # Numerals: a class's value is the value of every numeral member.
+    for root, members in classes.items():
+        for i in members:
+            term = eg.node_terms[i]
+            if isinstance(term, IntConst):
+                assert eg.class_int_value(root) == term.value
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_traces_identical(seed):
     gen = _TraceGen(seed)
     rng = gen.rng
-    ref = EGraph(constructors=_TRACE_CONSTRUCTORS)
-    flat = FlatEGraph(constructors=_TRACE_CONSTRUCTORS)
+    eg = FlatEGraph(constructors=_TRACE_CONSTRUCTORS)
     added = []
-    depth = 0
+    # One frame per open scope: (snapshot at push, equalities, disequalities).
+    frames = [(None, [], [])]
+
+    def asserted():
+        eqs = [pair for frame in frames for pair in frame[1]]
+        return eqs, [pair for frame in frames for pair in frame[2]]
+
     for step in range(120):
         roll = rng.random()
         if roll < 0.35 or not added:
             t = gen.term()
             added.append(t)
-            assert ref.add_term(t) == flat.add_term(t)
-        elif roll < 0.60:
-            t1, t2 = rng.choice(added), rng.choice(added)
-            assert ref.assert_eq(t1, t2) == flat.assert_eq(t1, t2)
+            eg.add_term(t)
         elif roll < 0.75:
             t1, t2 = rng.choice(added), rng.choice(added)
-            assert ref.assert_diseq(t1, t2) == flat.assert_diseq(t1, t2)
+            equal = roll < 0.60
+            before = _snapshot(eg)
+            eg.push()
+            ok = eg.assert_eq(t1, t2) if equal else eg.assert_diseq(t1, t2)
+            if ok:
+                frames.append((before, [(t1, t2)] if equal else [], [] if equal else [(t1, t2)]))
+            else:
+                eg.pop()
+                assert eg.conflict is None
+                assert _snapshot(eg) == before, f"seed {seed}: pop after conflict"
         elif roll < 0.85:
-            ref.push()
-            flat.push()
-            depth += 1
-        elif roll < 0.95 and depth:
-            ref.pop()
-            flat.pop()
-            depth -= 1
+            frames.append((_snapshot(eg), [], []))
+            eg.push()
+        elif roll < 0.95 and len(frames) > 1:
+            eg.pop()
+            assert _snapshot(eg) == frames.pop()[0], f"seed {seed}: pop at step {step}"
         else:
-            assert ref.bump_generation() == flat.bump_generation()
-        probes = [rng.choice(added) for _ in range(6)] if added else []
-        assert _observables(ref, probes) == _observables(flat, probes), (
-            f"seed {seed}: state diverged after step {step}"
-        )
-    # Unwind every remaining scope: pop must restore both substrates to
-    # the same (still mutually identical) state.
-    while depth:
-        ref.pop()
-        flat.pop()
-        depth -= 1
-        probes = [rng.choice(added) for _ in range(6)]
-        assert _observables(ref, probes) == _observables(flat, probes)
+            eg.bump_generation()
+        _check_invariants(eg, *asserted())
+    # Unwind every remaining scope: each pop restores its push's state.
+    while len(frames) > 1:
+        eg.pop()
+        assert _snapshot(eg) == frames.pop()[0]
+        _check_invariants(eg, *asserted())
 
 
 def test_members_agree_as_sets():
-    """Member iteration order may differ (circular cycle vs list); the sets
-    must not."""
+    """Member cycles enumerate exactly the nodes ``find`` puts in a class."""
     gen = _TraceGen(99)
-    ref = EGraph(constructors=_TRACE_CONSTRUCTORS)
-    flat = FlatEGraph(constructors=_TRACE_CONSTRUCTORS)
+    eg = FlatEGraph(constructors=_TRACE_CONSTRUCTORS)
     terms = [gen.term(3) for _ in range(30)]
     for t in terms:
-        ref.add_term(t)
-        flat.add_term(t)
+        eg.add_term(t)
     for i in range(0, 28, 2):
-        ref.assert_eq(terms[i], terms[i + 1])
-        flat.assert_eq(terms[i], terms[i + 1])
-    for i in range(len(ref.node_terms)):
-        assert set(ref.members(ref.find(i))) == set(flat.members(flat.find(i)))
+        eg.assert_eq(terms[i], terms[i + 1])
+    for i in range(len(eg.node_terms)):
+        root = eg.find(i)
+        expected = {j for j in range(len(eg.node_terms)) if eg.find(j) == root}
+        assert set(eg.members(root)) == expected
 
 
 # ---------------------------------------------------------------------------
-# Timeout enforcement inside the flat matcher.
+# Timeout enforcement inside the matcher.
 # ---------------------------------------------------------------------------
 
 
@@ -345,84 +279,113 @@ def test_timeout_enforced_mid_match(kernel):
     import time
 
     axioms, goal = _explosive_setup()
-    cfg = ProverConfig(
-        timeout_s=0.2, max_rounds=50, max_instances=500_000, kernel=kernel
-    )
+    cfg = ProverConfig(timeout_s=0.2, max_rounds=50, max_instances=500_000)
     prover = Prover(axioms, config=cfg)
     start = time.monotonic()
     result = prover.prove(goal)
     elapsed = time.monotonic() - start
     assert not result.proved
+    assert result.stats.kernel.startswith(kernel + "/")
     assert elapsed < 5.0, f"prove() took {elapsed:.2f}s against timeout_s=0.2"
     assert any("resource limit" in line for line in result.context)
 
 
+def test_match_deadline_raises_mid_enumeration():
+    """A past deadline stops ``flat_ematch`` inside the candidate loop."""
+    import time
+
+    from repro.logic.terms import LVar
+    from repro.prover.kernels.flat import MatchTimeout, flat_ematch
+
+    eg = FlatEGraph()
+    for i in range(300):
+        eg.add_term(App("P", (App(f"c{i}"),)))
+    x, y = LVar("x"), LVar("y")
+    prog = compile_trigger(eg, (App("P", (x,)), App("P", (y,))))
+    assert len(flat_ematch(eg, prog)) == 300 * 300
+    with pytest.raises(MatchTimeout):
+        flat_ematch(eg, prog, deadline=time.monotonic() - 1.0)
+
+
 # ---------------------------------------------------------------------------
-# Cache identity: the kernel must be invisible to the proof cache.
+# Cache identity: retiring the twins must not invalidate existing caches.
 # ---------------------------------------------------------------------------
+
+#: The L1 object files of the last commit with the reference twins, warmed
+#: by ``verify_suite`` and one rejected optimization (so it holds an
+#: ``unknown`` verdict scoped to ``internal;mode=incremental``):
+#: ``{key: object}``.
+PARENT_L1 = Path(__file__).parent / "golden" / "parent_l1.json"
 
 
 def test_cache_schema_and_fingerprint_exclude_kernel():
     assert SCHEMA_VERSION == 4, (
-        "kernel selection changed the cache schema; a pure re-representation "
-        "must not invalidate existing caches"
+        "retiring the twins changed the cache schema; existing caches "
+        "must keep replaying"
     )
-    assert config_fingerprint(
-        ProverConfig(kernel="flat")
-    ) == config_fingerprint(ProverConfig(kernel="reference"))
+    assert config_fingerprint(ProverConfig(timeout_s=300.0)) == (
+        "rounds=12;instances=20000;decisions=200000;timeout=300.0"
+    )
+    from repro.prover.backends.internal import INTERNAL_IDENTITY, InternalBackend
+
+    assert INTERNAL_IDENTITY == "internal;mode=incremental"
+    assert InternalBackend(ProverConfig()).identity() == INTERNAL_IDENTITY
 
 
 def test_cache_hits_survive_kernel_switch(tmp_path):
-    by_name = {o.name: o for o in ALL_OPTIMIZATIONS}
-    opt = by_name["constProp"]
-    first = SoundnessChecker(
-        options=VerifyOptions(
-            cache_dir=str(tmp_path),
-            prover=ProverOptions(kernel="flat", timeout_s=120.0),
-        )
-    )
-    report_flat = first.check_optimization(opt)
-    assert first.cache is not None and first.cache.stats.stores > 0
-    second = SoundnessChecker(
-        options=VerifyOptions(
-            cache_dir=str(tmp_path),
-            prover=ProverOptions(kernel="reference", timeout_s=120.0),
-        )
-    )
-    report_ref = second.check_optimization(opt)
-    assert second.cache.stats.hits > 0, "kernel switch lost every cache hit"
-    assert second.cache.stats.misses == 0, (
-        "some obligations re-proved after a kernel switch"
-    )
-    assert _report_fingerprint(report_flat) == _report_fingerprint(report_ref)
+    """An L1 directory warmed before the twins were retired replays the
+    whole suite — 76 hits, 0 misses, every verdict proved — and its stored
+    ``unknown`` verdicts replay too."""
+    from repro.opts.buggy import ALL_BUGGY
+
+    objects = json.loads(PARENT_L1.read_text())
+    store = ShardedStore(tmp_path, SCHEMA_VERSION)
+    for key, obj in objects.items():
+        path = store.object_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(obj))
+    unknowns = [o["entry"] for o in objects.values() if not o["entry"]["proved"]]
+    assert unknowns
+    assert all(e["backend"] == "internal;mode=incremental" for e in unknowns)
+
+    report = verify_suite(VerifyOptions(cache_dir=str(tmp_path)))
+    stats = report.cache.stats
+    assert (stats.hits, stats.misses) == (76, 0)
+    # Sound means every obligation proved, as every golden suite row is.
+    assert report.sound
+    assert all(row[3] == "proved" for row in golden_rows("suite"))
+
+    buggy = next(opt for opt in ALL_BUGGY if opt.name == "buggyConstFoldWrongResult")
+    options = VerifyOptions(cache_dir=str(tmp_path))
+    rejected = check_optimization(buggy, options)
+    assert not rejected.sound
+    assert all(r.cached for r in rejected.results)
+    assert any(not r.proved for r in rejected.results)
 
 
 # ---------------------------------------------------------------------------
-# Kernel plumbing: registry, identities, trigger compilation errors.
+# Kernel plumbing: identity, trigger compilation errors.
 # ---------------------------------------------------------------------------
 
 
 def test_make_egraph_and_identities():
-    assert set(KERNELS) == set(KERNEL_NAMES)
-    assert isinstance(make_egraph("reference", _TRACE_CONSTRUCTORS), EGraph)
-    assert isinstance(make_egraph("flat", _TRACE_CONSTRUCTORS), FlatEGraph)
-    with pytest.raises(ValueError):
-        make_egraph("turbo", ())
-    assert kernel_identity("reference") == "reference/object-graph"
-    assert kernel_identity("flat").startswith("flat/")
-    with pytest.raises(ValueError):
-        Prover([], config=ProverConfig(kernel="turbo")).prove(
-            Eq(App("a"), App("a"))
-        )
+    """One kernel: no selector, no registry, no reference module."""
+    import repro.prover.kernels as kernels
+
+    assert kernel_identity() in ("flat/pure-python", "flat/compiled")
+    assert not hasattr(kernels, "make_egraph")
+    assert not hasattr(kernels, "KERNEL_NAMES")
+    with pytest.raises(ImportError):
+        import repro.prover.egraph  # noqa: F401
+    with pytest.raises(TypeError):
+        ProverConfig(kernel="reference")
 
 
 def test_stats_report_kernel_identity():
-    for kernel in KERNELS:
-        prover = Prover([], config=ProverConfig(kernel=kernel))
-        result = prover.prove(Eq(App("a"), App("a")))
-        assert result.stats.kernel == kernel_identity(kernel)
-        assert kernel_identity(kernel) in result.stats.table()
-        assert "structural visits" in result.stats.table()
+    result = Prover([]).prove(Eq(App("a"), App("a")))
+    assert result.stats.kernel == kernel_identity()
+    assert kernel_identity() in result.stats.table()
+    assert "structural visits" in result.stats.table()
 
 
 def test_compile_trigger_rejects_bare_variable():

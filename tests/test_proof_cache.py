@@ -274,6 +274,73 @@ class TestPrefetchLocking:
             fetcher.join(10)
 
 
+class TestBoundedMemory:
+    """The L0 map and the asked-of-L2 key set stay bounded in a
+    long-running process, without losing pending verdicts or changing any
+    answer."""
+
+    LIMIT = 8
+
+    class _EmptyRemote:
+        alive = True
+
+        def __init__(self):
+            self.published = {}
+
+        def multi_get(self, keys):
+            return {}
+
+        def publish(self, batch):
+            self.published.update(batch)
+            return True
+
+    def _drive(self, cache, reference):
+        """Novel keys forever: puts, saves, gets of old and new keys."""
+        for i in range(200):
+            key = f"k{i:04d}"
+            cache.prefetch([key, f"absent{i}"])
+            for c in (cache, reference):
+                c.put(key, proved=i % 3 != 0, elapsed_s=0.0,
+                      context=[f"ctx {i}"], config_fp="fp")
+            if i % 5 == 4:
+                cache.save()
+                reference.save()
+            probe = f"k{(i * 7) % (i + 1):04d}"
+            got = cache.get(probe, "fp")
+            want = reference.get(probe, "fp")
+            assert (got and got.to_json()) == (want and want.to_json()), probe
+            assert len(cache._entries) <= self.LIMIT + 5
+            assert len(cache._remote_seen) <= self.LIMIT + 2
+
+    def test_sizes_stay_bounded_and_answers_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_mod, "L0_LIMIT", self.LIMIT)
+        remote = self._EmptyRemote()
+        cache = ProofCache(tmp_path / "bounded", remote=remote)
+        reference = ProofCache(tmp_path / "reference")
+        self._drive(cache, reference)
+        cache.save()
+        # Every verdict reached L1 and every proof was published, although
+        # L0 dropped most of them along the way.
+        reread = ProofCache(tmp_path / "bounded")
+        for i in range(200):
+            entry = reread.get(f"k{i:04d}", "fp")
+            assert entry is not None and entry.context == [f"ctx {i}"]
+        assert sorted(remote.published) == [
+            f"k{i:04d}" for i in range(200) if i % 3 != 0
+        ]
+
+    def test_pending_entries_survive_a_trim(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_mod, "L0_LIMIT", 2)
+        cache = ProofCache(tmp_path)
+        for i in range(10):  # all dirty: nothing may be dropped before save
+            cache.put(f"p{i}", proved=True, elapsed_s=0.0)
+        assert len(cache._entries) == 10
+        cache.save()
+        cache.put("next", proved=True, elapsed_s=0.0)
+        assert len(cache._entries) <= 3
+        assert all(cache.get(f"p{i}", "") is not None for i in range(10))
+
+
 class TestRobustness:
     def test_corrupted_file_recovered(self, tmp_path):
         # A stray (here: corrupt) single-file store from before the CAS is

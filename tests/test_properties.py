@@ -33,7 +33,7 @@ from repro.logic.formulas import (
     clausify,
 )
 from repro.logic.terms import App, IntConst, LVar, mk, subst, free_vars
-from repro.prover.egraph import EGraph
+from repro.prover.kernels.flat import FlatEGraph
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ class TestEGraphProperties:
     @given(equations)
     @settings(max_examples=80, deadline=None)
     def test_asserted_equalities_hold(self, eqs):
-        e = EGraph()
+        e = FlatEGraph()
         asserted = []
         for lhs, rhs in eqs:
             if e.assert_eq(lhs, rhs):
@@ -133,7 +133,7 @@ class TestEGraphProperties:
     @given(equations, equations)
     @settings(max_examples=60, deadline=None)
     def test_pop_restores_equalities(self, base, extra):
-        e = EGraph()
+        e = FlatEGraph()
         for lhs, rhs in base:
             if not e.assert_eq(lhs, rhs):
                 return
@@ -149,7 +149,7 @@ class TestEGraphProperties:
     @given(equations, terms, terms)
     @settings(max_examples=60, deadline=None)
     def test_congruence_property(self, eqs, t1, t2):
-        e = EGraph()
+        e = FlatEGraph()
         for lhs, rhs in eqs:
             if not e.assert_eq(lhs, rhs):
                 return
@@ -159,7 +159,7 @@ class TestEGraphProperties:
     @given(equations)
     @settings(max_examples=60, deadline=None)
     def test_equality_is_symmetric_transitive(self, eqs):
-        e = EGraph()
+        e = FlatEGraph()
         for lhs, rhs in eqs:
             if not e.assert_eq(lhs, rhs):
                 return

@@ -451,6 +451,21 @@ class TestHTTP:
         assert doc["result"]["canonical"] == local.canonical()
         assert doc["result"]["suite"]["kind"] == "suite-report"
 
+    def test_retired_twin_fields_are_ignored(self, daemon):
+        """An old client still sending the retired prover selectors gets
+        its job run, with those fields ignored."""
+        prover = envelope(
+            "prover-options",
+            {"mode": "reference", "kernel": "reference", "timeout_s": 120.0},
+        )
+        status, _, body = daemon.post_job(
+            {"source": CONST_PROP, "wait": True, "options": {"prover": prover}}
+        )
+        assert status == 200
+        doc = json.loads(body)
+        assert doc["status"] == "done"
+        assert "constProp: SOUND" in doc["result"]["canonical"]
+
     def test_poll_and_stream(self, daemon):
         status, _, body = daemon.post_job({"source": CONST_PROP})
         assert status == 202

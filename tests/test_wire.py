@@ -177,7 +177,7 @@ class TestOptionsRoundTrips:
             cache_dir="/tmp/cache",
             cache_url="http://localhost:8417",
             obligation_timeout_s=12.5,
-            prover=ProverOptions(mode="reference", timeout_s=9.0),
+            prover=ProverOptions(timeout_s=9.0, max_rounds=4),
         )
         back = VerifyOptions.from_wire(options.to_wire())
         assert back == options
@@ -190,14 +190,28 @@ class TestOptionsRoundTrips:
         assert back.prover == ProverOptions()
 
     def test_prover_options_round_trip(self):
-        options = ProverOptions(mode="reference", kernel="reference",
-                                timeout_s=1.0, max_rounds=2)
+        options = ProverOptions(timeout_s=1.0, max_rounds=2)
         assert ProverOptions.from_wire(options.to_wire()) == options
 
     def test_engine_options_round_trip(self):
-        options = EngineOptions(mode="reference", iterate=True,
-                                collect_stats=True)
+        options = EngineOptions(iterate=True, collect_stats=True)
         assert EngineOptions.from_wire(options.to_wire()) == options
+
+    def test_retired_twin_fields_are_ignored(self):
+        """Documents from clients that still send the retired selectors
+        decode, with those fields dropped."""
+        prover = envelope(
+            "prover-options",
+            {"mode": "reference", "kernel": "reference", "timeout_s": 3.0},
+        )
+        assert ProverOptions.from_wire(prover) == ProverOptions(timeout_s=3.0)
+        engine = envelope("engine-options", {"mode": "reference", "iterate": True})
+        assert EngineOptions.from_wire(engine) == EngineOptions(iterate=True)
+        verify = envelope(
+            "verify-options",
+            {"prover": envelope("prover-options", {"mode": "reference", "max_rounds": 5})},
+        )
+        assert VerifyOptions.from_wire(verify).prover == ProverOptions(max_rounds=5)
 
 
 class TestRunResultRoundTrip:
